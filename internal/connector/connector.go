@@ -274,18 +274,8 @@ func (r *Registry) formatFor(d *flowfile.DataDef) (Format, string, error) {
 // data folder (uploaded files referenced as `data:<file>`), whose
 // payloads live outside any protocol connector.
 func (r *Registry) Decode(d *flowfile.DataDef, s *schema.Schema, payload []byte) (*table.Table, error) {
-	if s == nil {
-		return nil, fmt.Errorf("connector: D.%s has no declared schema", d.Name)
-	}
-	f, fname, err := r.formatFor(d)
-	if err != nil {
-		return nil, err
-	}
-	t, err := f.Decode(d, s, payload)
-	if err != nil {
-		return nil, fmt.Errorf("connector: D.%s as %s: %w", d.Name, fname, err)
-	}
-	return t, nil
+	l, err := r.DecodeMemo(d, s, payload, nil)
+	return l.Table, err
 }
 
 // SetMetrics attaches a metrics registry: retry counts and breaker

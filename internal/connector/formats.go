@@ -51,18 +51,17 @@ func (f *csvFormat) decode(d *flowfile.DataDef, s *schema.Schema, payload []byte
 	}
 	r.FieldsPerRecord = -1
 	r.TrimLeadingSpace = true
+	// Records stream one at a time into a reused slice; field strings
+	// stay valid after the next Read, so cells may keep them.
+	r.ReuseRecord = true
 	var res PushdownResult
-	records, err := r.ReadAll()
-	if err != nil {
-		return nil, res, err
-	}
 	t := table.New(s)
 	// Negotiate the pushdown: a predicate that binds filters while
 	// decoding; requested skip columns decode as nulls unless the
 	// predicate reads them.
 	pred, need := compilePushdownPredicate(pd.Predicate, s)
 	res.PredicateApplied = pred != nil
-	skip := map[int]bool{}
+	skip := make([]bool, s.Len())
 	for _, c := range pd.SkipColumns {
 		if need[c] {
 			continue
@@ -72,19 +71,22 @@ func (f *csvFormat) decode(d *flowfile.DataDef, s *schema.Schema, payload []byte
 			res.SkippedColumns = append(res.SkippedColumns, c)
 		}
 	}
-	if len(records) == 0 {
+	rec, err := r.Read()
+	if err == io.EOF {
 		return t, res, nil
+	}
+	if err != nil {
+		return nil, res, err
 	}
 	// Header detection and by-name binding.
 	binding := make([]int, s.Len()) // schema column -> record index
 	for i := range binding {
 		binding[i] = i
 	}
-	start := 0
-	if isHeader(records[0], s) {
-		start = 1
+	header := isHeader(rec, s)
+	if header {
 		pos := map[string]int{}
-		for i, field := range records[0] {
+		for i, field := range rec {
 			pos[strings.TrimSpace(field)] = i
 		}
 		for i, col := range s.Columns() {
@@ -97,23 +99,73 @@ func (f *csvFormat) decode(d *flowfile.DataDef, s *schema.Schema, payload []byte
 			}
 		}
 	}
-	for _, rec := range records[start:] {
-		row := make(table.Row, s.Len())
-		for i, j := range binding {
-			if skip[i] {
-				row[i] = value.VNull
-			} else if j < len(rec) {
-				row[i] = value.Parse(rec[j])
-			} else {
-				row[i] = value.VNull
+	cell := func(rec []string, i int) value.V {
+		if j := binding[i]; !skip[i] && j < len(rec) {
+			return value.Parse(rec[j])
+		}
+		return value.VNull
+	}
+	// The predicate's columns parse first; the rest parse only for the
+	// rows it keeps. scratch holds the predicate columns of a candidate
+	// row (every other cell stays null, and the predicate reads none).
+	var predCols []int
+	inPred := make([]bool, s.Len())
+	var scratch table.Row
+	if pred != nil {
+		for i, col := range s.Columns() {
+			if need[col.Name] {
+				predCols = append(predCols, i)
+				inPred[i] = true
 			}
 		}
-		if pred != nil && !pred(row).Truthy() {
-			continue
+		scratch = make(table.Row, s.Len())
+	}
+	rows := rowAllocator{width: s.Len()}
+	if header {
+		rec, err = r.Read()
+	}
+	for ; err == nil; rec, err = r.Read() {
+		if pred != nil {
+			for _, i := range predCols {
+				scratch[i] = cell(rec, i)
+			}
+			if !pred(scratch).Truthy() {
+				continue
+			}
+		}
+		row := rows.next()
+		for i := range row {
+			if inPred[i] {
+				row[i] = scratch[i]
+			} else {
+				row[i] = cell(rec, i)
+			}
 		}
 		t.Append(row)
 	}
+	if err != io.EOF {
+		return nil, res, err
+	}
 	return t, res, nil
+}
+
+// rowAllocator carves fixed-width rows out of shared slabs, one
+// allocation per rowsPerSlab rows instead of one per row. Each row is
+// capped at its width, so appending to one never writes into the next.
+type rowAllocator struct {
+	width int
+	slab  []value.V
+}
+
+const rowsPerSlab = 256
+
+func (a *rowAllocator) next() table.Row {
+	if len(a.slab) < a.width {
+		a.slab = make([]value.V, a.width*rowsPerSlab)
+	}
+	row := a.slab[:a.width:a.width]
+	a.slab = a.slab[a.width:]
+	return table.Row(row)
 }
 
 // isHeader reports whether the record names the schema's columns.

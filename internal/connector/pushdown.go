@@ -13,13 +13,19 @@ package connector
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"sort"
+	"strconv"
 
 	"shareinsights/internal/expr"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/obs"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
+	"shareinsights/internal/value"
 )
 
 // Pushdown is the optimizer's request to a source: filter rows by
@@ -104,16 +110,50 @@ func (r *Registry) LoadPushdown(d *flowfile.DataDef, s *schema.Schema, pd Pushdo
 // exact semantics must keep the predicate in the consumer pipeline,
 // where re-applying it is idempotent.
 func (r *Registry) LoadPushdownContext(ctx context.Context, d *flowfile.DataDef, s *schema.Schema, pd Pushdown, tr obs.Tracer, parent int) (*table.Table, LoadStats, PushdownResult, error) {
-	var stats LoadStats
-	var res PushdownResult
+	l, err := r.LoadMemo(ctx, d, s, pd, tr, parent, nil)
+	return l.Table, l.Stats, l.Pushdown, err
+}
+
+// Memo serves payloads decoded before: given a payload's content key
+// (see Loaded.Key) it returns the table and pushdown result that key
+// decoded to, if it holds them. The dashboard's last-good source store
+// implements it for one (dashboard, source) pair.
+type Memo func(key string) (*table.Table, PushdownResult, bool)
+
+// Loaded is the outcome of one LoadMemo or DecodeMemo call.
+type Loaded struct {
+	// Table is the decoded (or memoized) table.
+	Table *table.Table
+	// Stats reports the fetch.
+	Stats LoadStats
+	// Pushdown is what the protocol and format applied of the offer.
+	Pushdown PushdownResult
+	// Key is the payload's content key: a SHA-256 over the format, the
+	// data definition's properties, the schema, the pushdown, the time
+	// layouts and the payload bytes. Equal keys decode to identical
+	// tables. It is "" when no memo was given, or when the format is
+	// not built in: a registered format's decode is not known to be
+	// deterministic.
+	Key string
+	// Hit reports that Table came from the memo: the payload was not
+	// decoded.
+	Hit bool
+}
+
+// LoadMemo is LoadPushdownContext that decodes each payload at most
+// once: after the one retried fetch it computes the payload's content
+// key and, when memo holds that key, returns the memoized table without
+// decoding. A nil memo always decodes and computes no key.
+func (r *Registry) LoadMemo(ctx context.Context, d *flowfile.DataDef, s *schema.Schema, pd Pushdown, tr obs.Tracer, parent int, memo Memo) (Loaded, error) {
+	var l Loaded
 	if s == nil {
-		return nil, stats, res, fmt.Errorf("connector: D.%s has no declared schema", d.Name)
+		return l, fmt.Errorf("connector: D.%s has no declared schema", d.Name)
 	}
 	p, pname, err := r.protocolFor(d)
 	if err != nil {
-		return nil, stats, res, err
+		return l, err
 	}
-	stats.Protocol = pname
+	l.Stats.Protocol = pname
 	// Probe the protocol capability before any fetch runs: the fetch
 	// below happens exactly once through the retry policy whether the
 	// pushdown is applied, partially applied, or declined.
@@ -125,11 +165,12 @@ func (r *Registry) LoadPushdownContext(ctx context.Context, d *flowfile.DataDef,
 		fid = tr.StartSpan(parent, "fetch "+pname)
 	}
 	var payload []byte
+	var res PushdownResult
 	if berr := breaker.Allow(); berr != nil {
 		err = fmt.Errorf("source unavailable (%s, %w)", breaker.State(), berr)
 	} else {
 		policy := r.policyFor(d)
-		stats.Attempts, err = policy.Do(ctx, func(actx context.Context) error {
+		l.Stats.Attempts, err = policy.Do(ctx, func(actx context.Context) error {
 			var ferr error
 			if protoPush {
 				payload, res, ferr = pp.FetchPushdown(actx, d, pd)
@@ -144,7 +185,7 @@ func (r *Registry) LoadPushdownContext(ctx context.Context, d *flowfile.DataDef,
 			breaker.Success()
 		}
 	}
-	if retries := stats.Attempts - 1; retries > 0 {
+	if retries := l.Stats.Attempts - 1; retries > 0 {
 		if m := r.Metrics(); m != nil {
 			m.CounterVec("si_source_retries_total",
 				"Source fetch retries, by protocol.", "protocol").
@@ -162,11 +203,7 @@ func (r *Registry) LoadPushdownContext(ctx context.Context, d *flowfile.DataDef,
 		tr.EndSpan(fid)
 	}
 	if err != nil {
-		return nil, stats, res, fmt.Errorf("connector: D.%s via %s: %w", d.Name, pname, err)
-	}
-	f, fname, err := r.formatFor(d)
-	if err != nil {
-		return nil, stats, res, err
+		return l, fmt.Errorf("connector: D.%s via %s: %w", d.Name, pname, err)
 	}
 	// Offer the format whatever the protocol declined.
 	rem := pd
@@ -174,34 +211,117 @@ func (r *Registry) LoadPushdownContext(ctx context.Context, d *flowfile.DataDef,
 		rem.Predicate = ""
 	}
 	rem.SkipColumns = subtractStrings(rem.SkipColumns, res.SkippedColumns)
+	stats := l.Stats
+	l, err = r.decodeMemo(d, s, payload, rem, res, tr, parent, memo)
+	l.Stats = stats
+	return l, err
+}
+
+// DecodeMemo is Decode that decodes each payload at most once, with the
+// same content key and memo contract as LoadMemo.
+func (r *Registry) DecodeMemo(d *flowfile.DataDef, s *schema.Schema, payload []byte, memo Memo) (Loaded, error) {
+	if s == nil {
+		return Loaded{}, fmt.Errorf("connector: D.%s has no declared schema", d.Name)
+	}
+	return r.decodeMemo(d, s, payload, Pushdown{}, PushdownResult{}, nil, 0, memo)
+}
+
+// decodeMemo decodes a fetched payload, offering the format the part of
+// the pushdown the protocol declined (offer) on top of what it already
+// applied (applied), or serves the memoized table for the payload's
+// content key.
+func (r *Registry) decodeMemo(d *flowfile.DataDef, s *schema.Schema, payload []byte, offer Pushdown, applied PushdownResult, tr obs.Tracer, parent int, memo Memo) (Loaded, error) {
+	l := Loaded{Pushdown: applied}
+	f, fname, err := r.formatFor(d)
+	if err != nil {
+		return l, err
+	}
 	fp, formatPush := f.(FormatPushdown)
-	formatPush = formatPush && !rem.Empty()
+	formatPush = formatPush && !offer.Empty()
 	did := 0
 	if tr != nil {
 		did = tr.StartSpan(parent, "decode "+fname)
-		if res.PredicateApplied || formatPush {
+		if applied.PredicateApplied || formatPush {
 			tr.SpanFlag(did, "pushdown")
 		}
 	}
-	var t *table.Table
-	if formatPush {
-		var fres PushdownResult
-		t, fres, err = fp.DecodePushdown(d, s, payload, rem)
-		res.PredicateApplied = res.PredicateApplied || fres.PredicateApplied
-		res.SkippedColumns = append(res.SkippedColumns, fres.SkippedColumns...)
-	} else {
-		t, err = f.Decode(d, s, payload)
+	if memo != nil && builtinFormat(f) {
+		l.Key = contentKey(fname, d, s, offer, applied, payload)
+		if t, res, ok := memo(l.Key); ok {
+			l.Table, l.Pushdown, l.Hit = t, res, true
+		}
+	}
+	if !l.Hit {
+		if formatPush {
+			var fres PushdownResult
+			l.Table, fres, err = fp.DecodePushdown(d, s, payload, offer)
+			l.Pushdown.PredicateApplied = l.Pushdown.PredicateApplied || fres.PredicateApplied
+			l.Pushdown.SkippedColumns = append(l.Pushdown.SkippedColumns, fres.SkippedColumns...)
+		} else {
+			l.Table, err = f.Decode(d, s, payload)
+		}
 	}
 	if tr != nil {
-		if t != nil {
-			tr.SpanInt(did, "rows_out", int64(t.Len()))
+		if l.Hit {
+			tr.SpanFlag(did, "memo")
+		}
+		if l.Table != nil {
+			tr.SpanInt(did, "rows_out", int64(l.Table.Len()))
 		}
 		tr.EndSpan(did)
 	}
 	if err != nil {
-		return nil, stats, res, fmt.Errorf("connector: D.%s as %s: %w", d.Name, fname, err)
+		return Loaded{}, fmt.Errorf("connector: D.%s as %s: %w", d.Name, fname, err)
 	}
-	return t, stats, res, nil
+	return l, nil
+}
+
+// builtinFormat reports whether f is one of the platform's own formats,
+// whose decode is a pure function of the inputs contentKey covers.
+// Registered formats and fault-injecting wrappers are not: their
+// determinism is not the platform's to assume.
+func builtinFormat(f Format) bool {
+	switch f.(type) {
+	case *csvFormat, *jsonFormat, *xmlFormat, *sbinFormat:
+		return true
+	}
+	return false
+}
+
+// contentKey hashes every input a built-in format's decode depends on.
+// Each field is length-prefixed so no two field lists share an encoding.
+func contentKey(format string, d *flowfile.DataDef, s *schema.Schema, offer Pushdown, applied PushdownResult, payload []byte) string {
+	h := sha256.New()
+	var n [binary.MaxVarintLen64]byte
+	field := func(b []byte) {
+		h.Write(n[:binary.PutUvarint(n[:], uint64(len(b)))])
+		h.Write(b)
+	}
+	str := func(v string) { field([]byte(v)) }
+	list := func(vs []string) {
+		h.Write(n[:binary.PutUvarint(n[:], uint64(len(vs)))])
+		for _, v := range vs {
+			str(v)
+		}
+	}
+	str(format)
+	props := make([]string, 0, len(d.Props))
+	for k := range d.Props {
+		props = append(props, k)
+	}
+	sort.Strings(props)
+	list(props)
+	for _, k := range props {
+		str(d.Props[k])
+	}
+	str(s.String())
+	str(offer.Predicate)
+	list(offer.SkipColumns)
+	str(strconv.FormatBool(applied.PredicateApplied))
+	list(applied.SkippedColumns)
+	list(value.TimeLayouts)
+	field(payload)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // compilePushdownPredicate binds a pushed predicate against the

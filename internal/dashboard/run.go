@@ -87,6 +87,9 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 	d.runPlan = d.buildPlan()
 	d.pushedFilters = map[string]bool{}
 	sources := map[string]*table.Table{}
+	// keys holds the content key of every source decoded by a built-in
+	// format: its signature for the node cache.
+	keys := map[string]string{}
 	for _, name := range d.Graph.Sources() {
 		if cerr := ctx.Err(); cerr != nil {
 			return fmt.Errorf("dashboard %s: %w", d.Name, cerr)
@@ -96,7 +99,8 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		if tr != nil {
 			srcSpan = tr.StartSpan(runSpan, "source D."+name)
 		}
-		t, attempts, lerr := d.loadSource(ctx, name, tr, srcSpan)
+		l, lerr := d.loadSource(ctx, name, tr, srcSpan)
+		t, attempts := l.Table, l.Stats.Attempts
 		sh := SourceHealth{Name: name, Status: "ok", Mode: onErrorMode(n.Def), Attempts: attempts}
 		if attempts > 1 {
 			h.Retries += attempts - 1
@@ -125,12 +129,12 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 			return lerr
 		}
 		if !n.Shared && sh.Status == "ok" && d.platform.LastGood != nil {
-			// Snapshot a shallow clone: the live table's Rows() slice is
-			// handed to the engine and may be sorted or grown in place,
-			// which must not retroactively corrupt the last-good copy.
-			d.platform.LastGood.store(d.Name, name, t.CloneShallow())
+			d.storeLastGood(name, l)
 		}
 		sources[name] = t
+		if l.Key != "" {
+			keys[name] = l.Key
+		}
 	}
 	exec := &batch.Executor{Parallelism: d.platform.Parallelism, Optimize: d.platform.Optimize, Plan: d.runPlan, Tracer: tr, TraceParent: runSpan, Columnar: d.platform.Columnar}
 	if d.platform.NewRunBudget != nil {
@@ -142,6 +146,9 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 	cached := map[string]*table.Table{}
 	if d.platform.Cache != nil {
 		sigs = d.Graph.Signatures(func(name string) string {
+			if key, ok := keys[name]; ok {
+				return key
+			}
 			if t, ok := sources[name]; ok {
 				return t.Fingerprint()
 			}
@@ -253,7 +260,7 @@ func (d *Dashboard) degradeSource(name string, sh SourceHealth, lerr error) (*ta
 	switch sh.Mode {
 	case "stale":
 		if d.platform.LastGood != nil {
-			if t, ok := d.platform.LastGood.lookup(d.Name, name); ok && t.Schema().Equal(n.Schema) {
+			if t, ok := d.platform.LastGood.Lookup(d.Name, name); ok && t.Schema().Equal(n.Schema) {
 				sh.Status = "stale"
 				sh.Error = lerr.Error()
 				// Serve a shallow clone so engine-side mutation of the
@@ -390,19 +397,29 @@ func (d *Dashboard) recordRunHistory(dur time.Duration, runErr error) {
 // loadSource materializes one source data object: shared catalog
 // objects resolve directly, data:-scheme sources decode uploaded
 // payloads, everything else goes through the connector registry (with
-// fetch/decode spans when tracing). The int is the number of connector
-// fetch attempts (1 for non-connector sources).
-func (d *Dashboard) loadSource(ctx context.Context, name string, tr obs.Tracer, srcSpan int) (*table.Table, int, error) {
+// fetch/decode spans when tracing). Loaded.Stats.Attempts is the number
+// of connector fetch attempts (1 for non-connector sources). Uploads
+// and connector payloads decode at most once: the last-good store
+// serves a payload whose content key it already holds.
+func (d *Dashboard) loadSource(ctx context.Context, name string, tr obs.Tracer, srcSpan int) (connector.Loaded, error) {
 	n := d.Graph.Nodes[name]
+	l := connector.Loaded{Stats: connector.LoadStats{Attempts: 1}}
 	if n.Shared {
 		obj, ok := d.platform.Catalog.Resolve(name)
 		if !ok {
-			return nil, 1, fmt.Errorf("dashboard %s: shared data object %q disappeared from the catalog", d.Name, name)
+			return l, fmt.Errorf("dashboard %s: shared data object %q disappeared from the catalog", d.Name, name)
 		}
 		if tr != nil {
 			tr.SpanFlag(srcSpan, "shared")
 		}
-		return obj.Data, 1, nil
+		l.Table = obj.Data
+		return l, nil
+	}
+	var memo connector.Memo
+	if c := d.platform.LastGood; c != nil {
+		memo = func(key string) (*table.Table, connector.PushdownResult, bool) {
+			return c.decoded(d.Name, name, key)
+		}
 	}
 	// Sources in the dashboard's data folder (§4.3.2: uploaded files
 	// "can be referred in the data object configuration") resolve
@@ -413,42 +430,78 @@ func (d *Dashboard) loadSource(ctx context.Context, name string, tr obs.Tracer, 
 		}
 		payload, found := d.env.Resource(src)
 		if !found {
-			return nil, 1, fmt.Errorf("dashboard %s: D.%s: no uploaded data file %q", d.Name, name, src)
+			return l, fmt.Errorf("dashboard %s: D.%s: no uploaded data file %q", d.Name, name, src)
 		}
-		t, err := d.platform.Connectors.Decode(n.Def, n.Schema, payload)
+		dl, err := d.platform.Connectors.DecodeMemo(n.Def, n.Schema, payload, memo)
 		if err != nil {
-			return nil, 1, fmt.Errorf("dashboard %s: %w", d.Name, err)
+			return l, fmt.Errorf("dashboard %s: %w", d.Name, err)
 		}
-		return t, 1, nil
+		dl.Stats = l.Stats
+		d.countDecode(dl)
+		return dl, nil
 	}
 	// Connector-path sources get the plan's pushdown offer (when one
 	// exists): the connector applies what it can and declines the rest
 	// in-band — same fetch, same retry accounting either way, and the
 	// consumer pipeline re-applies the predicate regardless.
-	if np := d.runPlan.Node(name); np != nil && np.Pushdown != nil {
-		pd := connector.Pushdown{
+	var pd connector.Pushdown
+	np := d.runPlan.Node(name)
+	if np != nil && np.Pushdown != nil {
+		pd = connector.Pushdown{
 			Predicate:   np.Pushdown.Predicate,
 			SkipColumns: np.Pushdown.SkipColumns,
 		}
-		t, stats, res, err := d.platform.Connectors.LoadPushdownContext(ctx, n.Def, n.Schema, pd, tr, srcSpan)
-		if err != nil {
-			return nil, stats.Attempts, fmt.Errorf("dashboard %s: %w", d.Name, err)
-		}
-		if res.PredicateApplied && np.Pushdown.Consumer != "" {
-			// The consumer's re-applied filter now sees pre-filtered
-			// rows: its observed selectivity is ~1.0 by construction,
-			// not evidence. Flag it so recordRunHistory keeps the real
-			// profile intact (else the estimate decays toward 1, the
-			// planner un-pushes, and the plan oscillates run over run).
-			d.pushedFilters[dag.HintKey(np.Pushdown.Consumer, "filter_by "+np.Pushdown.Predicate)] = true
-		}
-		return t, stats.Attempts, nil
 	}
-	t, stats, err := d.platform.Connectors.LoadContext(ctx, n.Def, n.Schema, tr, srcSpan)
+	l, err := d.platform.Connectors.LoadMemo(ctx, n.Def, n.Schema, pd, tr, srcSpan, memo)
 	if err != nil {
-		return nil, stats.Attempts, fmt.Errorf("dashboard %s: %w", d.Name, err)
+		return l, fmt.Errorf("dashboard %s: %w", d.Name, err)
 	}
-	return t, stats.Attempts, nil
+	d.countDecode(l)
+	if l.Pushdown.PredicateApplied && np != nil && np.Pushdown != nil && np.Pushdown.Consumer != "" {
+		// The consumer's re-applied filter now sees pre-filtered
+		// rows: its observed selectivity is ~1.0 by construction,
+		// not evidence. Flag it so recordRunHistory keeps the real
+		// profile intact (else the estimate decays toward 1, the
+		// planner un-pushes, and the plan oscillates run over run).
+		d.pushedFilters[dag.HintKey(np.Pushdown.Consumer, "filter_by "+np.Pushdown.Predicate)] = true
+	}
+	return l, nil
+}
+
+// countDecode feeds si_source_decode_total: a keyed load is a hit or a
+// miss, and one without a key (no store, or a format the platform does
+// not own) bypasses the store.
+func (d *Dashboard) countDecode(l connector.Loaded) {
+	m := d.platform.Metrics
+	if m == nil {
+		return
+	}
+	result := "bypass"
+	switch {
+	case l.Hit:
+		result = "hit"
+	case l.Key != "":
+		result = "miss"
+	}
+	m.CounterVec("si_source_decode_total",
+		"Source payload decodes, by outcome against the decoded-source store: hit (served without decoding), miss (decoded and stored) or bypass (decoded; not memoizable).", "result").
+		With(result).Inc()
+}
+
+// storeLastGood records a successfully loaded source in the platform's
+// last-good store. A keyed table is stored as a shallow clone (the live
+// table's Rows() slice is handed to the engine and may be sorted or
+// grown in place, which must not retroactively corrupt the stored
+// copy), and an unchanged key is not re-journaled.
+func (d *Dashboard) storeLastGood(name string, l connector.Loaded) {
+	if l.Key == "" {
+		d.platform.LastGood.Put(d.Name, name, l.Table.CloneShallow())
+		return
+	}
+	if d.platform.LastGood.put(d.Name, name, SourceEntry{Key: l.Key, Table: l.Table, Pushdown: l.Pushdown}) && d.platform.Metrics != nil {
+		d.platform.Metrics.Counter("si_lastgood_journal_skipped_total",
+			"Last-good store updates that skipped the journal append because the source's content key was already journaled.").Inc()
+	}
 }
 
 // RefreshWidgets re-evaluates every widget's interaction pipeline

@@ -54,6 +54,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime/debug"
+	"runtime/metrics"
 	"sort"
 	"strconv"
 	"strings"
@@ -96,7 +98,7 @@ type Server struct {
 
 	mu        sync.RWMutex
 	repos     map[string]*vcs.Repo
-	live      map[string]*dashboard.Dashboard
+	live      map[string]*liveDash
 	traces    map[string]*obs.Trace        // dashboard -> last run's trace
 	data      map[string]map[string][]byte // dashboard -> uploaded files
 	uploadRev map[string]int               // dashboard -> upload revision (result-cache keys)
@@ -137,7 +139,7 @@ func New(p *dashboard.Platform, opts ...Option) *Server {
 		platform:  p,
 		httpm:     obs.NewHTTPMetrics(p.Metrics),
 		repos:     map[string]*vcs.Repo{},
-		live:      map[string]*dashboard.Dashboard{},
+		live:      map[string]*liveDash{},
 		traces:    map[string]*obs.Trace{},
 		data:      map[string]map[string][]byte{},
 		uploadRev: map[string]int{},
@@ -549,11 +551,12 @@ func (s *Server) handleServerHealth(w http.ResponseWriter, r *http.Request) {
 // totals. Unlike /stats it also covers runs that failed outright.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	d, err := s.liveDashboard(name)
+	d, unlock, err := s.liveDashboard(name)
 	if err != nil {
 		jsonError(w, http.StatusNotFound, err)
 		return
 	}
+	defer unlock()
 	h := d.Health()
 	jsonOK(w, map[string]any{
 		"dashboard": name,
@@ -569,11 +572,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // timing, not just the top five.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	d, err := s.liveDashboard(name)
+	d, unlock, err := s.liveDashboard(name)
 	if err != nil {
 		jsonError(w, http.StatusNotFound, err)
 		return
 	}
+	defer unlock()
 	jsonOK(w, statsBody(name, d, r.URL.Query().Get("full") == "1"))
 }
 
@@ -585,8 +589,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // latest committed flow file is compiled — never run — on demand.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	d, err := s.liveDashboard(name)
+	d, unlock, err := s.liveDashboard(name)
 	if err != nil {
+		unlock = func() {}
 		f := s.lintTarget(w, name)
 		if f == nil {
 			return
@@ -599,6 +604,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	defer unlock()
 	plan := d.Explain()
 	if plan == nil {
 		jsonError(w, http.StatusConflict, fmt.Errorf("optimizer disabled on this platform"))
@@ -623,18 +629,40 @@ func (s *Server) executeDashboard(ctx context.Context, name string, f *flowfile.
 	// /dashboards/{name}/trace until the next run replaces it.
 	trace := obs.NewTrace(name)
 	d.SetTracer(trace)
+	allocs0, live := heapCounters()
 	rerr := d.RunContext(ctx)
+	allocs, _ := heapCounters()
 	// The dashboard is published even when the run failed: /health,
 	// /stats and /trace must be able to explain what went wrong (stage
 	// failures, panic stacks, degraded sources).
 	s.mu.Lock()
-	s.live[name] = d
+	s.live[name] = &liveDash{d: d}
 	s.traces[name] = trace
 	s.mu.Unlock()
+	if allocs-allocs0 > live {
+		// The run allocated more than the heap held live, so most of
+		// the heap is now its garbage, and the dashboard it replaced is
+		// too. Collect it and return the freed pages to the OS before
+		// the run is answered. Otherwise the garbage stays resident
+		// until the next allocation-driven cycle, which light
+		// interactive traffic (selects, renders, data reads) can take
+		// seconds to bring, and after it the background scavenger
+		// releases the pages at a pace set by the CPU it gets: the
+		// resident set after a run would depend on timing.
+		debug.FreeOSMemory()
+	}
 	if rerr != nil {
 		return nil, diagnosed(f, rerr)
 	}
 	return d, nil
+}
+
+// heapCounters reads the bytes allocated on the heap since the process
+// started and the heap the last GC cycle marked live.
+func heapCounters() (allocs, live uint64) {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64(), s[1].Value.Uint64()
 }
 
 // diagnosed rewrites a compile/run error into flow-file diagnostics so
@@ -651,27 +679,42 @@ func diagnosed(f *flowfile.File, err error) error {
 	return fmt.Errorf("%s", strings.Join(lines, "; "))
 }
 
-func (s *Server) liveDashboard(name string) (*dashboard.Dashboard, error) {
+// liveDash is a run dashboard as the read and interaction routes see
+// it. mu serializes their access: a selection writes widget state that
+// a page render or a data read walks at the same time otherwise.
+type liveDash struct {
+	mu sync.Mutex
+	d  *dashboard.Dashboard
+}
+
+// liveDashboard returns the dashboard's last run, locked for the
+// caller, and the function that unlocks it.
+func (s *Server) liveDashboard(name string) (*dashboard.Dashboard, func(), error) {
 	s.mu.RLock()
-	d, ok := s.live[name]
+	ld, ok := s.live[name]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("dashboard %q has not been run", name)
+		return nil, nil, fmt.Errorf("dashboard %q has not been run", name)
 	}
-	return d, nil
+	ld.mu.Lock()
+	return ld.d, ld.mu.Unlock, nil
 }
 
 func (s *Server) handleHTML(w http.ResponseWriter, r *http.Request) {
-	d, err := s.liveDashboard(r.PathValue("name"))
+	d, unlock, err := s.liveDashboard(r.PathValue("name"))
 	if err != nil {
 		jsonError(w, http.StatusNotFound, err)
 		return
 	}
+	defer unlock()
 	dev := dashboard.Desktop
 	if r.URL.Query().Get("device") == "mobile" {
 		dev = dashboard.Mobile
 	}
-	if css, ok := s.data[r.PathValue("name")]["style.css"]; ok {
+	s.mu.RLock()
+	css, ok := s.data[r.PathValue("name")]["style.css"]
+	s.mu.RUnlock()
+	if ok {
 		d.SetStylesheet(string(css))
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -683,11 +726,12 @@ func (s *Server) handleHTML(w http.ResponseWriter, r *http.Request) {
 // handleExplore is the data explorer: every endpoint data object in
 // tabular text form (Figure 29's headless mode).
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	d, err := s.liveDashboard(r.PathValue("name"))
+	d, unlock, err := s.liveDashboard(r.PathValue("name"))
 	if err != nil {
 		jsonError(w, http.StatusNotFound, err)
 		return
 	}
+	defer unlock()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	for _, ds := range d.EndpointNames() {
 		t, ok := d.Endpoint(ds)
@@ -699,11 +743,12 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	d, err := s.liveDashboard(r.PathValue("name"))
+	d, unlock, err := s.liveDashboard(r.PathValue("name"))
 	if err != nil {
 		jsonError(w, http.StatusNotFound, err)
 		return
 	}
+	defer unlock()
 	type dsInfo struct {
 		Name    string   `json:"name"`
 		Columns []string `json:"columns"`
@@ -719,11 +764,12 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
-	d, err := s.liveDashboard(r.PathValue("name"))
+	d, unlock, err := s.liveDashboard(r.PathValue("name"))
 	if err != nil {
 		jsonError(w, http.StatusNotFound, err)
 		return
 	}
+	defer unlock()
 	t, ok := d.Endpoint(r.PathValue("ds"))
 	if !ok {
 		jsonError(w, http.StatusNotFound, fmt.Errorf("no endpoint data object %q", r.PathValue("ds")))
@@ -757,11 +803,12 @@ func writeTable(w http.ResponseWriter, r *http.Request, t *table.Table) {
 }
 
 func (s *Server) handleAdhoc(w http.ResponseWriter, r *http.Request) {
-	d, err := s.liveDashboard(r.PathValue("name"))
+	d, unlock, err := s.liveDashboard(r.PathValue("name"))
 	if err != nil {
 		jsonError(w, http.StatusNotFound, err)
 		return
 	}
+	defer unlock()
 	out, err := d.AdhocQuery(r.PathValue("ds"), r.PathValue("col"), r.PathValue("agg"), r.PathValue("vcol"))
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, err)
@@ -773,11 +820,8 @@ func (s *Server) handleAdhoc(w http.ResponseWriter, r *http.Request) {
 // handleSelect records a widget selection. Body: {"values": [...]} or
 // {"range": ["lo", "hi"]}.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	d, err := s.liveDashboard(r.PathValue("name"))
-	if err != nil {
-		jsonError(w, http.StatusNotFound, err)
-		return
-	}
+	// Read the body before taking the dashboard's lock, so a slow client
+	// never holds it.
 	var body struct {
 		Values []string `json:"values"`
 		Range  []string `json:"range"`
@@ -786,6 +830,12 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, err)
 		return
 	}
+	d, unlock, err := s.liveDashboard(r.PathValue("name"))
+	if err != nil {
+		jsonError(w, http.StatusNotFound, err)
+		return
+	}
+	defer unlock()
 	widgetName := r.PathValue("widget")
 	if len(body.Range) == 2 {
 		err = d.SelectRange(widgetName, body.Range[0], body.Range[1])
@@ -848,11 +898,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 // handleProfile serves the §6 meta-dashboard: per-column statistics of
 // every materialized data object, as a generated platform dashboard.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	d, err := s.liveDashboard(r.PathValue("name"))
+	d, unlock, err := s.liveDashboard(r.PathValue("name"))
 	if err != nil {
 		jsonError(w, http.StatusNotFound, err)
 		return
 	}
+	defer unlock()
 	meta, err := profile.BuildMeta(d)
 	if err != nil {
 		jsonError(w, http.StatusUnprocessableEntity, err)
@@ -934,11 +985,12 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 // Race2Insights Figure 31/32 pattern). ?format=html renders the page;
 // the default is the endpoint tables plus the generated flow file.
 func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
-	d, err := s.liveDashboard(r.PathValue("name"))
+	d, unlock, err := s.liveDashboard(r.PathValue("name"))
 	if err != nil {
 		jsonError(w, http.StatusNotFound, err)
 		return
 	}
+	defer unlock()
 	meta, err := ops.BuildOps(d, s.opsPanels()...)
 	if err != nil {
 		jsonError(w, http.StatusUnprocessableEntity, err)

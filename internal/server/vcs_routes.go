@@ -219,11 +219,12 @@ func (s *Server) handleSharedSearch(w http.ResponseWriter, r *http.Request) {
 // handleSuggest proposes published objects that share columns with the
 // dashboard's data objects — candidate joins to enrich its pipeline.
 func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
-	d, err := s.liveDashboard(r.PathValue("name"))
+	d, unlock, err := s.liveDashboard(r.PathValue("name"))
 	if err != nil {
 		jsonError(w, http.StatusNotFound, err)
 		return
 	}
+	defer unlock()
 	type suggestion struct {
 		For           string   `json:"for"`
 		Object        string   `json:"object"`

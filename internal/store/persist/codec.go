@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"shareinsights/internal/connector"
+	"shareinsights/internal/dashboard"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/share"
 	"shareinsights/internal/table"
@@ -129,11 +130,38 @@ type catSnapshot struct {
 	Objects []catObject `json:"objects"`
 }
 
-// cacheRecord journals one last-good source table.
+// cacheRecord journals one last-good source table. Key and Pushdown
+// carry the entry's payload content key and applied pushdown, so a
+// recovered or replicated entry serves the next run without a decode;
+// records written before keys existed lack them and miss once.
 type cacheRecord struct {
-	Dashboard string    `json:"dashboard"`
-	Source    string    `json:"source"`
-	Table     tableBlob `json:"table"`
+	Dashboard string                    `json:"dashboard"`
+	Source    string                    `json:"source"`
+	Key       string                    `json:"key,omitempty"`
+	Pushdown  *connector.PushdownResult `json:"pushdown,omitempty"`
+	Table     tableBlob                 `json:"table"`
+}
+
+func encodeCacheRecord(dash, source string, e dashboard.SourceEntry) cacheRecord {
+	cr := cacheRecord{Dashboard: dash, Source: source, Key: e.Key, Table: encodeTable(e.Table)}
+	if e.Key != "" {
+		cr.Pushdown = &e.Pushdown
+	}
+	return cr
+}
+
+// seedCacheRecord installs one decoded cache record (replay path).
+func seedCacheRecord(cache *dashboard.SourceCache, cr cacheRecord) error {
+	t, err := decodeTable(cr.Table)
+	if err != nil {
+		return err
+	}
+	e := dashboard.SourceEntry{Key: cr.Key, Table: t}
+	if cr.Pushdown != nil {
+		e.Pushdown = *cr.Pushdown
+	}
+	cache.Seed(cr.Dashboard, cr.Source, e)
+	return nil
 }
 
 // cacheSnapshot is the full last-good cache state.

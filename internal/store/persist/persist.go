@@ -28,7 +28,6 @@ import (
 	"shareinsights/internal/obs/history"
 	"shareinsights/internal/share"
 	"shareinsights/internal/store"
-	"shareinsights/internal/table"
 	"shareinsights/internal/vcs"
 )
 
@@ -217,14 +216,7 @@ func (s *Store) recoverCache(fs store.FS) (*store.Dir, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := func(cr cacheRecord) error {
-		t, err := decodeTable(cr.Table)
-		if err != nil {
-			return err
-		}
-		s.shadowCache.Seed(cr.Dashboard, cr.Source, t)
-		return nil
-	}
+	seed := func(cr cacheRecord) error { return seedCacheRecord(s.shadowCache, cr) }
 	if len(rec.Snapshot) > 0 {
 		var snap cacheSnapshot
 		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
@@ -333,17 +325,17 @@ func (s *Store) catalogJournal(e share.Entry) error {
 
 // cacheJournal is the last-good cache's write-ahead hook (runs under
 // the live cache's lock; failures are tolerated by the caller).
-func (s *Store) cacheJournal(dash, source string, t *table.Table) error {
+func (s *Store) cacheJournal(dash, source string, e dashboard.SourceEntry) error {
 	s.cacheC.mu.Lock()
 	defer s.cacheC.mu.Unlock()
-	payload, err := json.Marshal(cacheRecord{Dashboard: dash, Source: source, Table: encodeTable(t)})
+	payload, err := json.Marshal(encodeCacheRecord(dash, source, e))
 	if err != nil {
 		return err
 	}
 	if err := s.cacheC.dir.Append(store.Record{Type: recEntry, Payload: payload}); err != nil {
 		return err
 	}
-	s.shadowCache.Seed(dash, source, t)
+	s.shadowCache.Seed(dash, source, e)
 	if s.wantCompact(s.cacheC.dir) {
 		if payload, err := json.Marshal(exportCache(s.shadowCache)); err == nil {
 			s.cacheC.dir.Snapshot(payload, s.now())
@@ -362,7 +354,7 @@ func (s *Store) WirePlatform(p *dashboard.Platform) error {
 		}
 	}
 	p.Catalog.SetJournal(s.catalogJournal)
-	s.shadowCache.Each(func(dash, src string, t *table.Table) { p.LastGood.Seed(dash, src, t) })
+	s.shadowCache.Entries(func(dash, src string, e dashboard.SourceEntry) { p.LastGood.Seed(dash, src, e) })
 	p.LastGood.SetJournal(s.cacheJournal)
 	p.History = s.recorder
 	return nil

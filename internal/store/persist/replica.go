@@ -10,7 +10,6 @@ import (
 	"shareinsights/internal/obs/history"
 	"shareinsights/internal/share"
 	"shareinsights/internal/store"
-	"shareinsights/internal/table"
 	"shareinsights/internal/vcs"
 )
 
@@ -252,16 +251,6 @@ func reloadCatalog(cat *share.Catalog, payload []byte) error {
 	return nil
 }
 
-// seedCacheRecord installs one decoded cache record (replay path).
-func seedCacheRecord(cache *dashboard.SourceCache, cr cacheRecord) error {
-	t, err := decodeTable(cr.Table)
-	if err != nil {
-		return err
-	}
-	cache.Seed(cr.Dashboard, cr.Source, t)
-	return nil
-}
-
 // exportCatalog builds the catalog snapshot payload (shared with the
 // leader's compaction path in catalogJournal).
 func exportCatalog(cat *share.Catalog) catSnapshot {
@@ -281,8 +270,8 @@ func exportCatalog(cat *share.Catalog) catSnapshot {
 // output.
 func exportCache(cache *dashboard.SourceCache) cacheSnapshot {
 	snap := cacheSnapshot{}
-	cache.Each(func(d, src string, tb *table.Table) {
-		snap.Entries = append(snap.Entries, cacheRecord{Dashboard: d, Source: src, Table: encodeTable(tb)})
+	cache.Entries(func(d, src string, e dashboard.SourceEntry) {
+		snap.Entries = append(snap.Entries, encodeCacheRecord(d, src, e))
 	})
 	sort.Slice(snap.Entries, func(a, b int) bool {
 		if snap.Entries[a].Dashboard != snap.Entries[b].Dashboard {

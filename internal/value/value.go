@@ -352,6 +352,11 @@ func (v V) HashInto(h hashWriter) {
 // Parse infers the best kind for a text payload: empty → null, then bool,
 // int, float, a handful of common timestamp layouts, else string. Format
 // codecs for text formats (CSV/TSV) use it to type their cells.
+//
+// Each attempt is preceded by a syntactic guard that only rules out text
+// the attempt must reject, so a plain string cell costs no failed
+// strconv or time.Parse call (and none of their error allocations). The
+// result is exactly that of trying every parser in turn.
 func Parse(s string) V {
 	t := strings.TrimSpace(s)
 	if t == "" {
@@ -363,18 +368,102 @@ func Parse(s string) V {
 	case "false", "False", "FALSE":
 		return VFalse
 	}
-	if i, err := strconv.ParseInt(t, 10, 64); err == nil {
-		return NewInt(i)
+	if maybeInt(t) {
+		if i, err := strconv.ParseInt(t, 10, 64); err == nil {
+			return NewInt(i)
+		}
 	}
-	if f, err := strconv.ParseFloat(t, 64); err == nil {
-		return NewFloat(f)
+	if maybeFloat(t) {
+		if f, err := strconv.ParseFloat(t, 64); err == nil {
+			return NewFloat(f)
+		}
 	}
 	for _, layout := range TimeLayouts {
+		if !maybeLayout(layout, t) {
+			continue
+		}
 		if ts, err := time.Parse(layout, t); err == nil {
 			return NewTime(ts)
 		}
 	}
 	return NewString(s)
+}
+
+// maybeInt reports whether t has the shape strconv.ParseInt accepts in
+// base 10: [+-]?[0-9]+ (range is left to ParseInt).
+func maybeInt(t string) bool {
+	if t[0] == '+' || t[0] == '-' {
+		t = t[1:]
+	}
+	if t == "" {
+		return false
+	}
+	for i := 0; i < len(t); i++ {
+		if t[i] < '0' || t[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// maybeFloat reports whether strconv.ParseFloat could accept t: after an
+// optional sign the number starts with a digit or '.', or is one of the
+// case-insensitive words inf, infinity and nan; any later sign must
+// follow an exponent marker (e/E, or p/P in hex floats).
+func maybeFloat(t string) bool {
+	if t[0] == '+' || t[0] == '-' {
+		t = t[1:]
+	}
+	if t == "" {
+		return false
+	}
+	switch c := t[0]; {
+	case c >= '0' && c <= '9', c == '.':
+	case c == 'i' || c == 'I' || c == 'n' || c == 'N':
+		return strings.EqualFold(t, "inf") || strings.EqualFold(t, "infinity") || strings.EqualFold(t, "nan")
+	default:
+		return false
+	}
+	for i := 1; i < len(t); i++ {
+		if c := t[i]; c == '+' || c == '-' {
+			switch t[i-1] {
+			case 'e', 'E', 'p', 'P':
+			default:
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// maybeLayout reports whether time.Parse could accept t under layout.
+// The built-in layouts all start with a four-digit year and a dash and
+// are told apart by byte 10: 'T' (RFC 3339), ' ' (date and time) or the
+// end of the text (date only). Any other layout is always tried.
+func maybeLayout(layout, t string) bool {
+	switch layout {
+	case time.RFC3339Nano, time.RFC3339:
+		return dateShaped(t) && len(t) > 10 && t[10] == 'T'
+	case "2006-01-02 15:04:05":
+		return dateShaped(t) && len(t) > 10 && t[10] == ' '
+	case "2006-01-02":
+		return dateShaped(t) && len(t) == 10
+	}
+	return true
+}
+
+// dateShaped reports whether t starts with DDDD- and is at least ten
+// bytes long.
+func dateShaped(t string) bool {
+	if len(t) < 10 || t[4] != '-' {
+		return false
+	}
+	for i := 0; i < 4; i++ {
+		if t[i] < '0' || t[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // TimeLayouts are the timestamp layouts Parse recognizes, most specific
