@@ -6,6 +6,7 @@ package shareinsights
 // internal/dashboard as BenchmarkInteraction{Cube,Reference}).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -79,7 +80,7 @@ func benchWorkers(b *testing.B, workers int) {
 	env := &task.Env{Parallelism: workers}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunPipeline(env, specs, []*table.Table{docs}, nil); err != nil {
+		if _, _, err := e.RunPipeline(context.Background(), env, specs, []*table.Table{docs}, nil, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -95,7 +96,7 @@ func BenchmarkAblationFused(b *testing.B) {
 	env := &task.Env{Parallelism: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunPipeline(env, specs, []*table.Table{docs}, nil); err != nil {
+		if _, _, err := e.RunPipeline(context.Background(), env, specs, []*table.Table{docs}, nil, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,7 +160,7 @@ T:
 	env := &task.Env{Parallelism: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.RunPipeline(env, specs, []*table.Table{docs}, nil); err != nil {
+		if _, _, err := e.RunPipeline(context.Background(), env, specs, []*table.Table{docs}, nil, nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ package shareinsights
 // Measured numbers are snapshotted in BENCH_columnar.json.
 
 import (
+	"context"
 	"testing"
 
 	"shareinsights/internal/dag"
@@ -149,7 +150,7 @@ func benchEnginePipeline(b *testing.B, columnar string) {
 	e := &batch.Executor{Parallelism: 1, Columnar: columnar}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(g, &task.Env{Parallelism: 1}, map[string]*table.Table{"src": src}); err != nil {
+		if _, err := e.RunWithCacheContext(context.Background(), g, &task.Env{Parallelism: 1}, map[string]*table.Table{"src": src}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

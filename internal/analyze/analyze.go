@@ -455,7 +455,7 @@ func (l *linter) checkResilienceProps() {
 // planner detail: FL043 bad `columnar:` value (docs/ENGINE.md). Like
 // FL042 this doubles a hard validation error with a rule ID and hint.
 func (l *linter) checkColumnarProp() {
-	modes := []string{"auto", "on", "off"}
+	modes := flowfile.ColumnarModes
 	for _, name := range l.f.DataOrder {
 		d := l.f.Data[name]
 		if v := d.Prop("columnar"); v != "" && !hasString(modes, v) {

@@ -34,40 +34,6 @@ type StageResult struct {
 	Verdict string
 }
 
-// StageExprIssues type-checks every expression a stage owns — the filter
-// predicate, a map-expr, the expr subs of a parallel — against the input
-// scope. It runs before schema binding (mirroring the legacy checkStage
-// position) so expression findings survive bind failures.
-func StageExprIssues(sp task.Spec, def *flowfile.TaskDef, lookup TaskLookup, in Scope) []Issue {
-	switch t := sp.(type) {
-	case *task.FilterSpec:
-		if t.Expression == "" {
-			return nil
-		}
-		_, iss := CheckExpr(t.Expression, in)
-		return iss
-	case *task.MapSpec:
-		if src := mapExprSource(t, def); src != "" {
-			_, iss := CheckExpr(src, in)
-			return iss
-		}
-	case *task.ParallelSpec:
-		var out []Issue
-		for i, sub := range t.Subs {
-			ms, ok := sub.(*task.MapSpec)
-			if !ok || i >= len(t.Names) || lookup == nil {
-				continue
-			}
-			if src := mapExprSource(ms, lookup(t.Names[i])); src != "" {
-				_, iss := CheckExpr(src, in)
-				out = append(out, iss...)
-			}
-		}
-		return out
-	}
-	return nil
-}
-
 // mapExprSource returns the expression source of an expr map operator.
 func mapExprSource(m *task.MapSpec, def *flowfile.TaskDef) string {
 	if m == nil || m.Operator != "expr" || def == nil || def.Config == nil {
@@ -248,8 +214,7 @@ func transferFilter(t *task.FilterSpec, ins []Input, res *StageResult) {
 }
 
 // LowerQuiet lowers an expression discarding issues — transfer re-lowers
-// filter predicates whose issues were already reported by
-// StageExprIssues.
+// filter predicates whose issues the linter already reported.
 func LowerQuiet(src string, sc Scope) *Expr {
 	e, _ := CheckExpr(src, sc)
 	return e

@@ -78,10 +78,3 @@ func (h Hints) PlanOptions(stats dag.StatsFn) dag.PlanOptions {
 		DeadSourceColumns: h.DeadSourceColumns,
 	}
 }
-
-// FileHints is OptimizerHints for callers that already parsed the file
-// but carry no lint options (CLI one-shots): tasks resolve from the
-// default registry.
-func FileHints(f *flowfile.File, tasks *task.Registry) Hints {
-	return OptimizerHints(f, Options{Tasks: tasks})
-}

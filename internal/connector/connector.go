@@ -344,28 +344,17 @@ func (r *Registry) policyFor(d *flowfile.DataDef) resilience.Policy {
 	return p
 }
 
-// Load fetches and decodes a data object. The definition must declare a
-// schema (the explicit schema call-out of §3.2).
-func (r *Registry) Load(d *flowfile.DataDef, s *schema.Schema) (*table.Table, error) {
-	t, _, err := r.LoadContext(context.Background(), d, s, nil, 0)
-	return t, err
-}
-
-// LoadTraced is Load with execution tracing: one span for the protocol
-// fetch and one for the payload decode, opened under parent on tr. A
-// nil tr traces nothing and adds no allocations.
-func (r *Registry) LoadTraced(d *flowfile.DataDef, s *schema.Schema, tr obs.Tracer, parent int) (*table.Table, error) {
-	t, _, err := r.LoadContext(context.Background(), d, s, tr, parent)
-	return t, err
-}
-
-// LoadContext fetches and decodes a data object under ctx, applying the
-// fetch resilience policy: the source's circuit breaker is consulted
-// first (an open breaker fails fast without touching the source), then
-// the fetch runs under the retry policy — exponential backoff with full
-// jitter, Retry-After hints honored, permanent errors not retried —
-// with each attempt bounded by the per-source `timeout` property when
-// set. Breaker outcomes and retry counts feed the attached metrics
+// LoadContext fetches and decodes a data object under ctx. The
+// definition must declare a schema (the explicit schema call-out of
+// §3.2). Spans for the protocol fetch and the payload decode open under
+// parent on tr; a nil tr traces nothing and adds no allocations.
+//
+// The fetch runs under the resilience policy: the source's circuit
+// breaker is consulted first (an open breaker fails fast without
+// touching the source), then the fetch runs under the retry policy —
+// exponential backoff with full jitter, Retry-After hints honored,
+// permanent errors not retried — with each attempt bounded by the
+// per-source `timeout` property when set. Breaker outcomes and retry counts feed the attached metrics
 // registry and the returned LoadStats. It is LoadPushdownContext with
 // an empty offer: both paths share one fetch/decode sequence, which is
 // what keeps pushdown-on and pushdown-off runs byte-identical in their

@@ -1,6 +1,7 @@
 package connector
 
 import (
+	"context"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -38,7 +39,7 @@ func TestCSVPositionalBinding(t *testing.T) {
 		"t.csv": []byte("east,10\nwest,20\n"),
 	}})
 	s := schema.MustFromNames("region", "amount")
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.csv", "format": "csv"}), s)
+	tb, _, err := r.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "mem:t.csv", "format": "csv"}), s, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestCSVHeaderBinding(t *testing.T) {
 		"t.csv": []byte("amount,region\n10,east\n20,west\n"),
 	}})
 	s := schema.MustFromNames("region", "amount")
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.csv"}), s)
+	tb, _, err := r.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "mem:t.csv"}), s, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestCSVCustomSeparator(t *testing.T) {
 		"t.csv": []byte("a;1\nb;2\n"),
 	}})
 	s := schema.MustFromNames("k", "v")
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.csv", "separator": ";"}), s)
+	tb, _, err := r.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "mem:t.csv", "separator": ";"}), s, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestTSV(t *testing.T) {
 		"t.tsv": []byte("a\t1\nb\t2\n"),
 	}})
 	s := schema.MustFromNames("k", "v")
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.tsv", "format": "tsv"}), s)
+	tb, _, err := r.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "mem:t.tsv", "format": "tsv"}), s, nil, 0)
 	if err != nil || tb.Len() != 2 {
 		t.Fatalf("tsv: %v", err)
 	}
@@ -98,7 +99,7 @@ func TestJSONPathMapping(t *testing.T) {
 		schema.Column{Name: "text", Path: "body"},
 		schema.Column{Name: "location", Path: "user.location"},
 	)
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.json", "format": "json"}), s)
+	tb, _, err := r.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "mem:t.json", "format": "json"}), s, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestJSONWrapperObject(t *testing.T) {
 	payload := `{"items":[{"q":"how","tags":"pig"}],"has_more":false}`
 	r := NewRegistry(Options{Mem: map[string][]byte{"t.json": []byte(payload)}})
 	s := schema.MustNew(schema.Column{Name: "question", Path: "q"}, schema.Column{Name: "tags", Path: "tags"})
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.json", "format": "json"}), s)
+	tb, _, err := r.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "mem:t.json", "format": "json"}), s, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestJSONL(t *testing.T) {
 	payload := "{\"a\":1}\n{\"a\":2}\n"
 	r := NewRegistry(Options{Mem: map[string][]byte{"t.jsonl": []byte(payload)}})
 	s := schema.MustFromNames("a")
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.jsonl", "format": "jsonl"}), s)
+	tb, _, err := r.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "mem:t.jsonl", "format": "jsonl"}), s, nil, 0)
 	if err != nil || tb.Len() != 2 || tb.Cell(1, "a").Int() != 2 {
 		t.Fatalf("jsonl: %v\n%v", err, tb)
 	}
@@ -143,7 +144,7 @@ func TestXML(t *testing.T) {
 		schema.Column{Name: "project", Path: "project"},
 		schema.Column{Name: "bugs", Path: "stats.bugs"},
 	)
-	tb, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.xml", "format": "xml", "record_tag": "row"}), s)
+	tb, _, err := r.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "mem:t.xml", "format": "xml", "record_tag": "row"}), s, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +160,12 @@ func TestFileProtocolConfinement(t *testing.T) {
 	}
 	r := NewRegistry(Options{DataDir: dir})
 	s := schema.MustFromNames("a")
-	if _, err := r.Load(def(t, "t", map[string]string{"source": "ok.csv"}), s); err != nil {
+	if _, _, err := r.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "ok.csv"}), s, nil, 0); err != nil {
 		t.Fatalf("in-dir load: %v", err)
 	}
 	// Escaping paths are cleaned into the data dir; a genuinely missing
 	// file errors rather than reading outside.
-	if _, err := r.Load(def(t, "t", map[string]string{"source": "../../etc/passwd"}), s); err == nil {
+	if _, _, err := r.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "../../etc/passwd"}), s, nil, 0); err == nil {
 		t.Error("escape should fail")
 	}
 }
@@ -180,7 +181,7 @@ func TestHTTPProtocol(t *testing.T) {
 	s := schema.MustFromNames("a")
 	d := def(t, "t", map[string]string{"source": ts.URL, "format": "json"})
 	d.SetProp("http_headers.X-Access-Key", "XXX")
-	tb, err := r.Load(d, s)
+	tb, _, err := r.LoadContext(context.Background(), d, s, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +193,14 @@ func TestHTTPProtocol(t *testing.T) {
 func TestProtocolAndFormatErrors(t *testing.T) {
 	r := NewRegistry(Options{})
 	s := schema.MustFromNames("a")
-	if _, err := r.Load(def(t, "t", map[string]string{"source": "gopher://x"}), s); err == nil || !strings.Contains(err.Error(), "gopher") {
+	if _, _, err := r.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "gopher://x"}), s, nil, 0); err == nil || !strings.Contains(err.Error(), "gopher") {
 		t.Errorf("unknown protocol: %v", err)
 	}
 	r2 := NewRegistry(Options{Mem: map[string][]byte{"x": []byte("a")}})
-	if _, err := r2.Load(def(t, "t", map[string]string{"source": "mem:x", "format": "avro"}), s); err == nil || !strings.Contains(err.Error(), "avro") {
+	if _, _, err := r2.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "mem:x", "format": "avro"}), s, nil, 0); err == nil || !strings.Contains(err.Error(), "avro") {
 		t.Errorf("unknown format: %v", err)
 	}
-	if _, err := r2.Load(def(t, "t", map[string]string{"source": "mem:x"}), nil); err == nil {
+	if _, _, err := r2.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "mem:x"}), nil, nil, 0); err == nil {
 		t.Error("missing schema should fail")
 	}
 }
@@ -233,7 +234,7 @@ func TestSBINRoundTrip(t *testing.T) {
 	src.AppendValues(value.NewString(""), value.NewInt(1<<40), value.NewFloat(-0.1), value.VFalse, value.VNull)
 	payload := EncodeSBIN(src)
 	r := NewRegistry(Options{Mem: map[string][]byte{"t.sbin": payload}})
-	got, err := r.Load(def(t, "t", map[string]string{"source": "mem:t.sbin", "format": "sbin"}), s)
+	got, _, err := r.LoadContext(context.Background(), def(t, "t", map[string]string{"source": "mem:t.sbin", "format": "sbin"}), s, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestHTTPConnectionReuse(t *testing.T) {
 	s := schema.MustFromNames("a")
 	d := def(t, "t", map[string]string{"source": ts.URL, "format": "json"})
 	for i := 0; i < 5; i++ {
-		if _, err := r.Load(d, s); err != nil {
+		if _, _, err := r.LoadContext(context.Background(), d, s, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -221,10 +221,10 @@ func TestFaultFormatFailsDecodes(t *testing.T) {
 	}
 	d := def(t, "t", map[string]string{"source": "mem:t.csv", "format": "chaoscsv"})
 	s := schema.MustFromNames("region", "amount")
-	if _, err := r.Load(d, s); err == nil {
+	if _, _, err := r.LoadContext(context.Background(), d, s, nil, 0); err == nil {
 		t.Fatal("first decode should fail")
 	}
-	if _, err := r.Load(d, s); err != nil {
+	if _, _, err := r.LoadContext(context.Background(), d, s, nil, 0); err != nil {
 		t.Fatalf("second decode should pass: %v", err)
 	}
 }

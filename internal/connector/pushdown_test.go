@@ -31,7 +31,7 @@ func pushSchema() *schema.Schema { return schema.MustFromNames("region", "amount
 
 func TestCSVPredicatePushdown(t *testing.T) {
 	r := pushRegistry(0)
-	tb, res, err := r.LoadPushdown(pushDef(t), pushSchema(), Pushdown{Predicate: "amount > 100"})
+	tb, _, res, err := r.LoadPushdownContext(context.Background(), pushDef(t), pushSchema(), Pushdown{Predicate: "amount > 100"}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestCSVPredicatePushdown(t *testing.T) {
 
 func TestCSVSkipColumnsDecodeAsNulls(t *testing.T) {
 	r := pushRegistry(0)
-	tb, res, err := r.LoadPushdown(pushDef(t), pushSchema(), Pushdown{SkipColumns: []string{"notes", "ghost"}})
+	tb, _, res, err := r.LoadPushdownContext(context.Background(), pushDef(t), pushSchema(), Pushdown{SkipColumns: []string{"notes", "ghost"}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +71,10 @@ func TestCSVPredicateKeepsItsColumns(t *testing.T) {
 	// The predicate reads amount; a request to also skip amount must
 	// keep it decoding (nulling it would evaluate the filter on nulls).
 	r := pushRegistry(0)
-	tb, res, err := r.LoadPushdown(pushDef(t), pushSchema(), Pushdown{
+	tb, _, res, err := r.LoadPushdownContext(context.Background(), pushDef(t), pushSchema(), Pushdown{
 		Predicate:   "amount > 100",
 		SkipColumns: []string{"amount", "notes"},
-	})
+	}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCSVPredicateKeepsItsColumns(t *testing.T) {
 
 func TestCSVUnbindablePredicateDeclined(t *testing.T) {
 	r := pushRegistry(0)
-	tb, res, err := r.LoadPushdown(pushDef(t), pushSchema(), Pushdown{Predicate: "nosuch > 1"})
+	tb, _, res, err := r.LoadPushdownContext(context.Background(), pushDef(t), pushSchema(), Pushdown{Predicate: "nosuch > 1"}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestJSONFormatDeclinesPushdown(t *testing.T) {
 		Retry: fastRetry(0),
 	})
 	d := def(t, "t", map[string]string{"source": "mem:t.json", "format": "json"})
-	tb, res, err := r.LoadPushdown(d, schema.MustFromNames("region", "amount"), Pushdown{Predicate: "amount > 100", SkipColumns: []string{"region"}})
+	tb, _, res, err := r.LoadPushdownContext(context.Background(), d, schema.MustFromNames("region", "amount"), Pushdown{Predicate: "amount > 100", SkipColumns: []string{"region"}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,12 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"shareinsights/internal/expr"
+	"shareinsights/internal/flowfile"
 	"shareinsights/internal/task"
 )
 
@@ -218,7 +220,7 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 		if n.IsSource() {
 			continue
 		}
-		np := &NodePlan{Output: name, Columnar: resolveColumnar(n, opts.Columnar)}
+		np := &NodePlan{Output: name, Columnar: ResolveColumnar(n.ColumnarMode(), opts.Columnar)}
 		specs := PushdownFilters(n.Specs)
 		if !sameSpecs(specs, n.Specs) {
 			np.Decisions = append(np.Decisions, Decision{
@@ -249,17 +251,18 @@ func Optimize(g *Graph, opts PlanOptions) *Plan {
 	return p
 }
 
-// resolveColumnar resolves a node's effective columnar mode: node
-// detail, then executor default, then auto — mirroring the batch
-// engine's columnarMode so the plan and the runtime agree.
-func resolveColumnar(n *Node, def string) string {
-	for _, m := range []string{n.ColumnarMode(), def} {
-		switch m {
-		case "auto", "on", "off":
+// ResolveColumnar resolves a node's effective columnar mode: the node's
+// `columnar:` value, then the executor default def, then auto. Invalid
+// values are skipped (the validator rejects them before execution).
+// The planner and the batch engine both resolve through it, so the
+// plan and the runtime agree.
+func ResolveColumnar(node, def string) string {
+	for _, m := range []string{node, def} {
+		if slices.Contains(flowfile.ColumnarModes, m) {
 			return m
 		}
 	}
-	return "auto"
+	return flowfile.ColumnarAuto
 }
 
 // isExprFilter reports whether sp is a pure expression filter — the only
@@ -395,13 +398,13 @@ func stagePlans(output string, specs []task.Spec, mode string, opts PlanOptions)
 // the spec's vectorizability and the observed input cardinality. "auto"
 // means the runtime planner decides (no statistics to predict from).
 func predictPath(output string, sp task.Spec, mode string, opts PlanOptions) string {
-	if mode == "off" {
+	if mode == flowfile.ColumnarOff {
 		return "row"
 	}
 	if _, ok := sp.(task.Vectorizable); !ok {
 		return "row"
 	}
-	if mode == "on" {
+	if mode == flowfile.ColumnarOn {
 		return "columnar"
 	}
 	if opts.Stats != nil {

@@ -302,3 +302,34 @@ func TestPlanSkippedSinks(t *testing.T) {
 		t.Errorf("Format() missing skipped sink:\n%s", p.Format())
 	}
 }
+
+// TestResolveColumnar pins the columnar mode resolution the planner and
+// the batch engine share: a valid node value wins, invalid values are
+// skipped, and nothing valid resolves to auto.
+func TestResolveColumnar(t *testing.T) {
+	for _, tc := range []struct{ node, def, want string }{
+		{"on", "off", "on"},
+		{"off", "on", "off"},
+		{"", "on", "on"},
+		{"", "", "auto"},
+		{"vectorize", "off", "off"},
+		{"vectorize", "sometimes", "auto"},
+		{"auto", "on", "auto"},
+	} {
+		if got := ResolveColumnar(tc.node, tc.def); got != tc.want {
+			t.Errorf("ResolveColumnar(%q, %q) = %q, want %q", tc.node, tc.def, got, tc.want)
+		}
+	}
+	// The planner resolves each node's `columnar:` detail the same way.
+	g := build(t, twoFilterFlow+`
+D.mid:
+  columnar: on
+`, nil)
+	p := Optimize(g, PlanOptions{Columnar: "off"})
+	if got := p.Node("mid").Columnar; got != "on" {
+		t.Errorf("D.mid columnar = %q, want the node's on", got)
+	}
+	if got := p.Node("out").Columnar; got != "off" {
+		t.Errorf("D.out columnar = %q, want the default off", got)
+	}
+}

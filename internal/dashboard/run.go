@@ -12,7 +12,6 @@ import (
 	"shareinsights/internal/connector"
 	"shareinsights/internal/dag"
 	"shareinsights/internal/engine/batch"
-	"shareinsights/internal/engine/cube"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/obs"
 	"shareinsights/internal/obs/history"
@@ -216,7 +215,7 @@ func (d *Dashboard) run(ctx context.Context, tr obs.Tracer, runSpan int) (err er
 		if tr != nil {
 			epSpan = tr.StartSpan(runSpan, "widget W."+name+" endpoint")
 		}
-		out, _, err := exec.RunPipelineContextTraced(ctx, d.env, plan.server, ins, plan.inputs, tr, epSpan)
+		out, _, err := exec.RunPipeline(ctx, d.env, plan.server, ins, plan.inputs, tr, epSpan)
 		if tr != nil {
 			if out != nil {
 				tr.SpanInt(epSpan, "rows_out", int64(out.Len()))
@@ -504,30 +503,22 @@ func (d *Dashboard) storeLastGood(name string, l connector.Loaded) {
 	}
 }
 
-// RefreshWidgets re-evaluates every widget's interaction pipeline
+// refreshWidgets re-evaluates every widget's interaction pipeline
 // against the current selections — what the generated dashboard does in
 // the browser whenever a selection changes.
-func (d *Dashboard) RefreshWidgets() error {
-	return d.refreshWidgets(context.Background(), d.Tracer(), 0)
-}
-
 func (d *Dashboard) refreshWidgets(ctx context.Context, tr obs.Tracer, parent int) error {
 	for _, name := range d.File.WidgetOrder {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("dashboard %s: %w", d.Name, err)
 		}
-		if err := d.refreshWidgetTraced(name, tr, parent); err != nil {
+		if err := d.refreshWidget(name, tr, parent); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (d *Dashboard) refreshWidget(name string) error {
-	return d.refreshWidgetTraced(name, d.Tracer(), 0)
-}
-
-func (d *Dashboard) refreshWidgetTraced(name string, tr obs.Tracer, parent int) (err error) {
+func (d *Dashboard) refreshWidget(name string, tr obs.Tracer, parent int) (err error) {
 	// Interaction pipelines run user-extension operators too; a panic
 	// there must fail the refresh, not the process.
 	defer func() {
@@ -610,7 +601,7 @@ func (d *Dashboard) refreshDependents(widgetName string) error {
 		}
 		for _, dep := range plan.interactsWith {
 			if dep == widgetName {
-				if err := d.refreshWidget(name); err != nil {
+				if err := d.refreshWidget(name, d.Tracer(), 0); err != nil {
 					return err
 				}
 				break
@@ -636,29 +627,6 @@ func (d *Dashboard) Dependents(widgetName string) []string {
 		}
 	}
 	return out
-}
-
-// NewCube builds an interactive cube over a widget's endpoint data,
-// registering one dimension per interaction filter column. It powers the
-// cube-accelerated interaction path and the E6/E7 benches.
-func (d *Dashboard) NewCube(widgetName string) (*cube.Cube, error) {
-	plan, ok := d.plans[widgetName]
-	if !ok || plan.endpoint == nil {
-		return nil, fmt.Errorf("dashboard %s: widget W.%s has no endpoint data (run the dashboard first)", d.Name, widgetName)
-	}
-	c := cube.New(plan.endpoint)
-	for _, sp := range plan.client {
-		f, ok := sp.(*task.FilterSpec)
-		if !ok {
-			continue
-		}
-		for _, col := range f.By {
-			if _, err := c.Dimension(col); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return c, nil
 }
 
 // AdhocQuery answers the REST data API's path query of §4.4:

@@ -39,14 +39,15 @@ import (
 type Executor struct {
 	// Parallelism caps worker fan-out; <= 0 means GOMAXPROCS.
 	Parallelism int
-	// Optimize applies the DAG optimizer passes (filter pushdown, dead
-	// sink elimination) before execution. Off, the engine runs the
-	// pipelines exactly as written — the E6 ablation baseline.
+	// Optimize, when Plan is nil, plans the run with dag.Optimize and no
+	// statistics: dead sinks are skipped and expression filters hoisted
+	// ahead of maps that do not produce their columns. With neither
+	// Plan nor Optimize the engine runs the pipelines exactly as written
+	// — the E6 ablation baseline.
 	Optimize bool
 	// Plan, when non-nil, is a cost-based plan from dag.Optimize: the
 	// executor takes each node's spec order, columnar mode and skipped
-	// sinks from it instead of re-deriving the per-run rewrites that
-	// Optimize alone applies. Plan takes precedence over Optimize.
+	// sinks from it. Plan takes precedence over Optimize.
 	Plan *dag.Plan
 	// Tracer receives execution spans (one per DAG node, one per
 	// pipeline stage). nil disables tracing; every span call is guarded
@@ -58,10 +59,11 @@ type Executor struct {
 	// path: ColumnarAuto, ColumnarOn or ColumnarOff ("" means auto). A
 	// node's `columnar:` data detail overrides it per data object.
 	Columnar string
-	// Budget, when non-nil, is charged as stages and nodes materialize
-	// output (rows per stage, bytes per node result). Once a charge
-	// returns an error the charged node fails with it, bounding a
-	// runaway flow's memory at node granularity. nil means unlimited.
+	// Budget, when non-nil, is charged as pipelines materialize output:
+	// rows per stage and bytes per pipeline result, for DAG nodes and
+	// RunPipeline calls alike. Once a charge returns an error the
+	// pipeline fails with it at the next stage boundary, bounding a
+	// runaway flow's memory. nil means unlimited.
 	Budget Budget
 }
 
@@ -224,43 +226,29 @@ func recoverStage(stage string, errp *error) {
 	}
 }
 
-// Run executes the graph. sources supplies the contents of every source
-// node (connector output or shared-catalog data), keyed by data-object
-// name.
-func (e *Executor) Run(g *dag.Graph, env *task.Env, sources map[string]*table.Table) (*Result, error) {
-	return e.RunWithCacheContext(context.Background(), g, env, sources, nil)
-}
-
-// RunContext is Run honoring ctx: node pipelines check for
-// cancellation between stages, and nodes waiting on inputs or a
-// scheduler slot abandon the wait when ctx dies.
-func (e *Executor) RunContext(ctx context.Context, g *dag.Graph, env *task.Env, sources map[string]*table.Table) (*Result, error) {
-	return e.RunWithCacheContext(ctx, g, env, sources, nil)
-}
-
-// RunWithCache is Run with an incremental-execution cache: produced
-// nodes present in cached are served directly, skipping their pipelines
-// (and, transitively, nothing upstream runs solely for them). Callers
-// must only supply entries whose content signature is unchanged — see
-// dag.Graph.Signatures.
-func (e *Executor) RunWithCache(g *dag.Graph, env *task.Env, sources, cached map[string]*table.Table) (*Result, error) {
-	return e.RunWithCacheContext(context.Background(), g, env, sources, cached)
-}
-
-// RunWithCacheContext is RunWithCache honoring ctx. On failure it
-// returns the partial Result alongside the first error, so callers can
-// still surface per-stage failures (Stats.Failures) and the tables that
-// did materialize.
+// RunWithCacheContext executes the graph. sources supplies the
+// contents of every source node (connector output or shared-catalog
+// data), keyed by data-object name. Produced nodes present in cached
+// are served directly, skipping their pipelines; callers must only
+// supply entries whose content signature is unchanged — see
+// dag.Graph.Signatures — and may pass nil for no cache. Node pipelines
+// check ctx between stages, and nodes waiting on inputs or a scheduler
+// slot abandon the wait when ctx dies. On failure it returns the
+// partial Result alongside the first error, so callers can still
+// surface per-stage failures (Stats.Failures) and the tables that did
+// materialize.
 func (e *Executor) RunWithCacheContext(ctx context.Context, g *dag.Graph, env *task.Env, sources, cached map[string]*table.Table) (*Result, error) {
 	res := &Result{
 		Tables: make(map[string]*table.Table, len(g.Nodes)),
 		Stats:  Stats{RowsProduced: map[string]int{}},
 	}
+	plan := e.Plan
+	if plan == nil && e.Optimize {
+		plan = dag.Optimize(g, dag.PlanOptions{Columnar: e.Columnar})
+	}
 	skip := map[string]bool{}
-	if e.Plan != nil {
-		res.Stats.SkippedSinks = append([]string(nil), e.Plan.SkippedSinks...)
-	} else if e.Optimize {
-		res.Stats.SkippedSinks = g.DeadSinks()
+	if plan != nil {
+		res.Stats.SkippedSinks = append([]string(nil), plan.SkippedSinks...)
 	}
 	for _, s := range res.Stats.SkippedSinks {
 		skip[s] = true
@@ -362,23 +350,13 @@ func (e *Executor) RunWithCacheContext(ctx context.Context, g *dag.Graph, env *t
 				nodeSpan = tr.StartSpan(e.TraceParent, "node D."+n.Name)
 				tr.SpanInt(nodeSpan, "queue_wait_us", queueWait.Microseconds())
 			}
-			specs := n.Specs
-			nodeColumnar := n.ColumnarMode()
-			planTag := ""
-			if np := e.Plan.Node(n.Name); np != nil && !np.Source {
-				// The cost-based plan fixed this node's rewrites and
-				// columnar mode at plan time; run exactly that.
-				specs = np.Specs
-				if np.Columnar != "" {
-					nodeColumnar = np.Columnar
-				}
-				planTag = np.Summary()
-			} else if e.Optimize {
-				specs = dag.PushdownFilters(specs)
+			specs, mode, planTag := n.Specs, dag.ResolveColumnar(n.ColumnarMode(), e.Columnar), ""
+			if np := plan.Node(n.Name); np != nil && !np.Source {
+				// The plan fixed this node's rewrites and columnar mode
+				// at plan time; run exactly that.
+				specs, mode, planTag = np.Specs, dag.ResolveColumnar(np.Columnar, mode), np.Summary()
 			}
 			first := true
-			var budgetErr error
-			var budgetMu sync.Mutex
 			record := func(t StageTiming) {
 				t.Output = n.Name
 				t.Plan = planTag
@@ -386,28 +364,11 @@ func (e *Executor) RunWithCacheContext(ctx context.Context, g *dag.Graph, env *t
 					t.QueueWait = queueWait
 					first = false
 				}
-				if e.Budget != nil {
-					if cerr := e.Budget.Charge(t.Rows, 0); cerr != nil {
-						budgetMu.Lock()
-						if budgetErr == nil {
-							budgetErr = cerr
-						}
-						budgetMu.Unlock()
-					}
-				}
 				mu.Lock()
 				res.Stats.Timings = append(res.Stats.Timings, t)
 				mu.Unlock()
 			}
-			out, stages, err := e.runPipelineCounted(ctx, env, specs, ins, n.Inputs, record, tr, nodeSpan, nodeColumnar, &fallbacks)
-			if err == nil {
-				budgetMu.Lock()
-				err = budgetErr
-				budgetMu.Unlock()
-			}
-			if err == nil && e.Budget != nil {
-				err = e.Budget.Charge(0, out.SizeBytes())
-			}
+			out, stages, err := e.runPipeline(ctx, env, specs, ins, n.Inputs, mode, record, tr, nodeSpan, &fallbacks)
 			if err == nil {
 				err = checkMaxRows(n, out)
 			}
@@ -486,28 +447,12 @@ func checkMaxRows(n *dag.Node, out *table.Table) error {
 
 // RunPipeline executes one linear spec chain over its inputs, fusing and
 // sharding row-local runs and parallelizing group-bys. It returns the
-// output table and the number of stages run.
-func (e *Executor) RunPipeline(env *task.Env, specs []task.Spec, in []*table.Table, names []string) (*table.Table, int, error) {
-	return e.runPipeline(context.Background(), env, specs, in, names, nil, nil, 0, "")
-}
-
-// RunPipelineContext is RunPipeline honoring ctx: cancellation is
-// checked before every stage, so a dead context stops the chain between
-// stages instead of running it to completion.
-func (e *Executor) RunPipelineContext(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string) (*table.Table, int, error) {
-	return e.runPipeline(ctx, env, specs, in, names, nil, nil, 0, "")
-}
-
-// RunPipelineTraced is RunPipeline with per-stage execution spans
-// opened under parent on tr (nil tr disables tracing).
-func (e *Executor) RunPipelineTraced(env *task.Env, specs []task.Spec, in []*table.Table, names []string, tr obs.Tracer, parent int) (*table.Table, int, error) {
-	return e.runPipeline(context.Background(), env, specs, in, names, nil, tr, parent, "")
-}
-
-// RunPipelineContextTraced combines RunPipelineContext and
-// RunPipelineTraced.
-func (e *Executor) RunPipelineContextTraced(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string, tr obs.Tracer, parent int) (*table.Table, int, error) {
-	return e.runPipeline(ctx, env, specs, in, names, nil, tr, parent, "")
+// output table and the number of stages run. Cancellation is checked
+// before every stage, stage spans open under parent on tr (nil tr
+// disables tracing), and output charges the executor's Budget like any
+// DAG node's.
+func (e *Executor) RunPipeline(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string, tr obs.Tracer, parent int) (*table.Table, int, error) {
+	return e.runPipeline(ctx, env, specs, in, names, dag.ResolveColumnar("", e.Columnar), nil, tr, parent, nil)
 }
 
 // rowsIn sums input cardinalities for stage telemetry.
@@ -519,21 +464,29 @@ func rowsIn(in []*table.Table) int {
 	return n
 }
 
-func (e *Executor) runPipeline(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string, record func(StageTiming), tr obs.Tracer, parent int, nodeColumnar string) (*table.Table, int, error) {
-	return e.runPipelineCounted(ctx, env, specs, in, names, record, tr, parent, nodeColumnar, nil)
-}
-
-// runPipelineCounted is runPipeline with a run-wide columnar-fallback
-// counter (nil when the caller does not track fallbacks).
-func (e *Executor) runPipelineCounted(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string, record func(StageTiming), tr obs.Tracer, parent int, nodeColumnar string, fb *atomic.Int64) (*table.Table, int, error) {
-	if record == nil {
-		record = func(StageTiming) {}
-	}
+// runPipeline runs specs in the resolved columnar mode. record (nil
+// for none) receives every stage's timing and fb (nil for none) counts
+// run-time columnar fallbacks. A pipeline with no tasks passes its one
+// input through; it materializes nothing, so it charges no budget.
+func (e *Executor) runPipeline(ctx context.Context, env *task.Env, specs []task.Spec, in []*table.Table, names []string, mode string, record func(StageTiming), tr obs.Tracer, parent int, fb *atomic.Int64) (*table.Table, int, error) {
 	if len(specs) == 0 {
 		if len(in) != 1 {
 			return nil, 0, fmt.Errorf("pipeline with no tasks needs exactly one input")
 		}
 		return in[0], 0, nil
+	}
+	if record == nil {
+		record = func(StageTiming) {}
+	}
+	var budgetErr error
+	if b := e.Budget; b != nil {
+		timed := record
+		record = func(t StageTiming) {
+			timed(t)
+			if budgetErr == nil {
+				budgetErr = b.Charge(t.Rows, 0)
+			}
+		}
 	}
 	cur := in
 	curNames := names
@@ -542,18 +495,20 @@ func (e *Executor) runPipelineCounted(ctx context.Context, env *task.Env, specs 
 	// st holds the pipeline's current value once it is single-input; it
 	// lets consecutive columnar stages hand batches to each other
 	// without materializing rows in between.
-	colMode := e.columnarMode(nodeColumnar)
 	var st *pipeState
 	for i < len(specs) {
 		if err := ctx.Err(); err != nil {
 			return nil, stages, err
 		}
+		if budgetErr != nil {
+			return nil, stages, budgetErr
+		}
 		single := len(cur) == 1
-		if single && colMode != ColumnarOff {
+		if single && mode != ColumnarOff {
 			if st == nil {
 				st = &pipeState{tbl: cur[0]}
 			}
-			handled, err := e.tryVecStage(env, specs, i, colMode, st, record, tr, parent, fb)
+			handled, err := e.tryVecStage(env, specs, i, mode, st, record, tr, parent, fb)
 			if err != nil {
 				return nil, stages, err
 			}
@@ -662,6 +617,12 @@ func (e *Executor) runPipelineCounted(ctx context.Context, env *task.Env, specs 
 	}
 	if cur[0] == nil && st != nil {
 		cur[0] = st.Table()
+	}
+	if e.Budget != nil && budgetErr == nil {
+		budgetErr = e.Budget.Charge(0, cur[0].SizeBytes())
+	}
+	if budgetErr != nil {
+		return nil, stages, budgetErr
 	}
 	return cur[0], stages, nil
 }

@@ -1,8 +1,10 @@
 package batch
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -76,13 +78,13 @@ func TestRunMatchesReference(t *testing.T) {
 	src := rawTable(20000, 1)
 	// Reference: single worker, no optimization.
 	ref := &Executor{Parallelism: 1}
-	refRes, err := ref.Run(g, &task.Env{Parallelism: 1}, map[string]*table.Table{"raw": src})
+	refRes, err := ref.RunWithCacheContext(context.Background(), g, &task.Env{Parallelism: 1}, map[string]*table.Table{"raw": src}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Parallel, optimized.
 	par := &Executor{Parallelism: 8, Optimize: true}
-	parRes, err := par.Run(g, &task.Env{Parallelism: 8}, map[string]*table.Table{"raw": src})
+	parRes, err := par.RunWithCacheContext(context.Background(), g, &task.Env{Parallelism: 8}, map[string]*table.Table{"raw": src}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestDeadSinkElimination(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	src := rawTable(100, 2)
 	opt := &Executor{Optimize: true}
-	res, err := opt.Run(g, &task.Env{}, map[string]*table.Table{"raw": src})
+	res, err := opt.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": src}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestDeadSinkElimination(t *testing.T) {
 	}
 	// Without optimization it is computed.
 	raw := &Executor{}
-	res2, err := raw.Run(g, &task.Env{}, map[string]*table.Table{"raw": src})
+	res2, err := raw.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": src}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestDeadSinkElimination(t *testing.T) {
 func TestMissingSource(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	e := &Executor{}
-	_, err := e.Run(g, &task.Env{}, map[string]*table.Table{})
+	_, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "D.raw") {
 		t.Errorf("missing source error = %v", err)
 	}
@@ -140,7 +142,7 @@ func TestSourceSchemaMismatch(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	bad := table.New(schema.MustFromNames("wrong"))
 	e := &Executor{}
-	_, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": bad})
+	_, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": bad}, nil)
 	if err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Errorf("schema mismatch error = %v", err)
 	}
@@ -193,7 +195,7 @@ T:
 	e := &Executor{}
 	tb := table.New(schema.MustFromNames("body"))
 	tb.AppendValues(value.NewString("x"))
-	_, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": tb})
+	_, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": tb}, nil)
 	if err == nil || !strings.Contains(err.Error(), "missing.txt") || !strings.Contains(err.Error(), "D.out") {
 		t.Errorf("runtime error = %v", err)
 	}
@@ -221,7 +223,7 @@ T:
 	rt := table.New(schema.MustFromNames("k", "y"))
 	rt.AppendValues(value.NewInt(1), value.NewString("b"))
 	e := &Executor{}
-	res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"l": lt, "r": rt})
+	res, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"l": lt, "r": rt}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,11 +260,11 @@ T:
 	}
 	seq := &Executor{Parallelism: 1}
 	par := &Executor{Parallelism: 6}
-	a, err := seq.Run(g, &task.Env{}, map[string]*table.Table{"docs": docs})
+	a, err := seq.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"docs": docs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := par.Run(g, &task.Env{}, map[string]*table.Table{"docs": docs})
+	b, err := par.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"docs": docs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +290,7 @@ T:
 func TestStatsReported(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	e := &Executor{Optimize: true}
-	res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": rawTable(100, 3)})
+	res, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": rawTable(100, 3)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +309,7 @@ func TestStatsReported(t *testing.T) {
 func TestStageTimingsRecorded(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	e := &Executor{Optimize: true}
-	res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": rawTable(5000, 4)})
+	res, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": rawTable(5000, 4)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +340,7 @@ func TestStageTimingsRecorded(t *testing.T) {
 func TestStageTimingRowsInAndQueueWait(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	e := &Executor{Optimize: true}
-	res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": rawTable(5000, 4)})
+	res, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": rawTable(5000, 4)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +373,7 @@ func TestTraceMatchesStats(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	tr := obs.NewTrace("t")
 	e := &Executor{Optimize: true, Tracer: tr}
-	res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": rawTable(2000, 5)})
+	res, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": rawTable(2000, 5)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +437,7 @@ func benchRun(b *testing.B, traced bool) {
 		if traced {
 			e.Tracer = obs.NewTrace("bench")
 		}
-		if _, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": src}); err != nil {
+		if _, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": src}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -465,7 +467,7 @@ func TestBudgetHookCharges(t *testing.T) {
 	src := rawTable(500, 3)
 	b := &countingBudget{}
 	e := &Executor{Budget: b}
-	if _, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": src}); err != nil {
+	if _, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": src}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.rows.Load() == 0 {
@@ -480,12 +482,122 @@ func TestBudgetExceededFailsRun(t *testing.T) {
 	g := buildGraph(t, testFlow)
 	src := rawTable(500, 3)
 	e := &Executor{Budget: &countingBudget{maxRows: 10}}
-	res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": src})
+	res, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": src}, nil)
 	if err == nil || !strings.Contains(err.Error(), "over budget") {
 		t.Fatalf("err = %v, want budget failure", err)
 	}
 	if len(res.Stats.Failures) == 0 {
 		t.Error("budget failure missing from Stats.Failures")
+	}
+}
+
+// TestRunPipelineChargesBudget checks that pipelines run outside the
+// DAG (widget endpoints) charge the same budget as DAG nodes: rows per
+// stage plus the result's bytes, failing once the budget is exhausted.
+func TestRunPipelineChargesBudget(t *testing.T) {
+	g := buildGraph(t, testFlow)
+	specs := g.Nodes["filtered"].Specs
+	in := []*table.Table{rawTable(500, 3)}
+	e := &Executor{Budget: &countingBudget{maxRows: 10}}
+	out, _, err := e.RunPipeline(context.Background(), &task.Env{}, specs, in, []string{"raw"}, nil, 0)
+	if err == nil || !strings.Contains(err.Error(), "over budget") {
+		t.Fatalf("err = %v (%v), want budget failure", err, out)
+	}
+	b := &countingBudget{}
+	e = &Executor{Budget: b}
+	out, _, err = e.RunPipeline(context.Background(), &task.Env{}, specs, in, []string{"raw"}, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := b.rows.Load(), int64(out.Len()); got != want {
+		t.Errorf("rows charged = %d, want %d", got, want)
+	}
+	if got, want := b.bytes.Load(), int64(out.SizeBytes()); got != want {
+		t.Errorf("bytes charged = %d, want %d", got, want)
+	}
+}
+
+// pushdownFlow has a filter the optimizer hoists ahead of a map and a
+// dead sink it skips.
+const pushdownFlow = `
+D:
+  raw: [k, txt, v]
+
+F:
+  D.doubled: D.raw | T.dbl | T.keep_positive
+  +D.top: D.doubled | T.by_k | T.top2
+  D.unused_sink: D.doubled | T.by_k
+
+T:
+  dbl:
+    type: map
+    operator: expr
+    expression: v * 2
+    output: v2
+  keep_positive:
+    type: filter_by
+    filter_expression: v > 0
+  by_k:
+    type: groupby
+    groupby: [k]
+    aggregates:
+      - operator: sum
+        apply_on: v2
+        out_field: total
+  top2:
+    type: topn
+    groupby: [k]
+    orderby_column: [total DESC]
+    limit: 2
+`
+
+// TestOptimizeRunsStatisticsFreePlan checks that Optimize without a
+// Plan executes exactly dag.Optimize's plan with no statistics: the
+// same tables, skipped sinks and per-stage timings (stage, rows, path
+// and plan tag).
+func TestOptimizeRunsStatisticsFreePlan(t *testing.T) {
+	g := buildGraph(t, pushdownFlow)
+	sources := map[string]*table.Table{"raw": rawTable(3000, 5)}
+	run := func(e *Executor) *Result {
+		t.Helper()
+		res, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, sources, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(res.Stats.Timings, func(i, j int) bool {
+			a, b := res.Stats.Timings[i], res.Stats.Timings[j]
+			return a.Output+"\x00"+a.Stage < b.Output+"\x00"+b.Stage
+		})
+		return res
+	}
+	opt := run(&Executor{Parallelism: 1, Optimize: true})
+	planned := run(&Executor{Parallelism: 1, Plan: dag.Optimize(g, dag.PlanOptions{})})
+	if got, want := strings.Join(opt.Stats.SkippedSinks, ","), strings.Join(planned.Stats.SkippedSinks, ","); got != want || got != "unused_sink" {
+		t.Errorf("skipped sinks = %q, plan skipped %q", got, want)
+	}
+	if got, want := strings.Join(opt.SortedNames(), ","), strings.Join(planned.SortedNames(), ","); got != want {
+		t.Fatalf("tables = %s, plan gave %s", got, want)
+	}
+	for _, name := range opt.SortedNames() {
+		a, _ := opt.Table(name)
+		b, _ := planned.Table(name)
+		if !a.Equal(b) {
+			t.Errorf("D.%s differs from the planned run", name)
+		}
+	}
+	if len(opt.Stats.Timings) != len(planned.Stats.Timings) {
+		t.Fatalf("%d timings, plan gave %d", len(opt.Stats.Timings), len(planned.Stats.Timings))
+	}
+	pushed := false
+	for i, a := range opt.Stats.Timings {
+		b := planned.Stats.Timings[i]
+		if a.Output != b.Output || a.Stage != b.Stage || a.RowsIn != b.RowsIn || a.Rows != b.Rows || a.Path != b.Path || a.Plan != b.Plan {
+			t.Errorf("timing %d = %+v, plan gave %+v", i, a, b)
+		}
+		pushed = pushed || a.Plan == dag.RuleFilterPushdown
+	}
+	if !pushed {
+		t.Errorf("no stage carries the %s plan tag: %+v", dag.RuleFilterPushdown, opt.Stats.Timings)
 	}
 }
 
@@ -507,7 +619,7 @@ T:
 	g := buildGraph(t, src)
 	data := rawTable(500, 4)
 	e := &Executor{}
-	_, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": data})
+	_, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": data}, nil)
 	if err == nil || !strings.Contains(err.Error(), "max_rows") {
 		t.Fatalf("err = %v, want max_rows cap failure", err)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"shareinsights/internal/dag"
+	"shareinsights/internal/flowfile"
 	"shareinsights/internal/obs"
 	"shareinsights/internal/schema"
 	"shareinsights/internal/table"
@@ -23,16 +24,17 @@ import (
 	"shareinsights/internal/task"
 )
 
-// The planner modes of the `columnar:` data detail.
+// The planner modes of the `columnar:` data detail (flowfile owns the
+// set; dag.ResolveColumnar picks a node's effective mode).
 const (
 	// ColumnarAuto vectorizes eligible stages on inputs of at least
 	// columnarAutoThreshold rows, and never splits a fusable row-local
 	// run for a partially vectorizable chain.
-	ColumnarAuto = "auto"
+	ColumnarAuto = flowfile.ColumnarAuto
 	// ColumnarOn vectorizes every eligible stage regardless of size.
-	ColumnarOn = "on"
+	ColumnarOn = flowfile.ColumnarOn
 	// ColumnarOff disables the columnar path.
-	ColumnarOff = "off"
+	ColumnarOff = flowfile.ColumnarOff
 )
 
 // columnarAutoThreshold is the input cardinality below which auto mode
@@ -40,27 +42,6 @@ const (
 // dashboard tables never amortize. It aliases the dag constant so the
 // cost-based planner's path predictions use the same cutoff.
 const columnarAutoThreshold = dag.ColumnarAutoThreshold
-
-// ValidColumnarMode reports whether s is a recognized planner mode.
-// The flow-file validator and flowlint use it; "" (unset) is not valid
-// here — callers treat unset as auto.
-func ValidColumnarMode(s string) bool {
-	return s == ColumnarAuto || s == ColumnarOn || s == ColumnarOff
-}
-
-// columnarMode resolves the effective planner mode from the node-level
-// detail and the executor default. Unset or invalid values resolve to
-// auto (the validator rejects invalid values before execution; this is
-// belt-and-braces for programmatic callers).
-func (e *Executor) columnarMode(node string) string {
-	if ValidColumnarMode(node) {
-		return node
-	}
-	if ValidColumnarMode(e.Columnar) {
-		return e.Columnar
-	}
-	return ColumnarAuto
-}
 
 // pipeState tracks the pipeline's current value as it alternates
 // between representations: tbl (row) and batch (columnar), at most one

@@ -88,7 +88,7 @@ func TestPanicBecomesStageError(t *testing.T) {
 	g := buildGraphWith(t, panicFlow, reg)
 	for _, par := range []int{1, 4} {
 		e := &Executor{Parallelism: par}
-		res, err := e.Run(g, &task.Env{}, map[string]*table.Table{"raw": rawTable(5000, 7)})
+		res, err := e.RunWithCacheContext(context.Background(), g, &task.Env{}, map[string]*table.Table{"raw": rawTable(5000, 7)}, nil)
 		if err == nil {
 			t.Fatalf("parallelism %d: panicking task did not fail the run", par)
 		}
@@ -138,7 +138,7 @@ func TestCancellationStopsDownstreamStages(t *testing.T) {
 	registerSpec(t, reg, "count", &passthrough{name: "count", fn: func() { downstream.Add(1) }})
 	g := buildGraphWith(t, chainFlow, reg)
 	e := &Executor{Parallelism: 2}
-	_, err := e.RunContext(ctx, g, &task.Env{}, map[string]*table.Table{"raw": rawTable(10, 3)})
+	_, err := e.RunWithCacheContext(ctx, g, &task.Env{}, map[string]*table.Table{"raw": rawTable(10, 3)}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -158,7 +158,7 @@ func TestRunContextDeadContextIsPrompt(t *testing.T) {
 	registerSpec(t, reg, "count", &passthrough{name: "count", fn: func() { ran.Add(1) }})
 	g := buildGraphWith(t, chainFlow, reg)
 	e := &Executor{}
-	res, err := e.RunContext(ctx, g, &task.Env{}, map[string]*table.Table{"raw": rawTable(10, 3)})
+	res, err := e.RunWithCacheContext(ctx, g, &task.Env{}, map[string]*table.Table{"raw": rawTable(10, 3)}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -182,7 +182,7 @@ func TestRunPipelineContextChecksBetweenStages(t *testing.T) {
 	}
 	e := &Executor{}
 	in := rawTable(5, 1)
-	_, stages, err := e.RunPipelineContext(ctx, &task.Env{}, specs, []*table.Table{in}, []string{"raw"})
+	_, stages, err := e.RunPipeline(ctx, &task.Env{}, specs, []*table.Table{in}, []string{"raw"}, nil, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -5,6 +5,7 @@
 package enginetest
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -36,7 +37,7 @@ func buildGraph(t testing.TB, src string) *dag.Graph {
 func runPath(t testing.TB, g *dag.Graph, sources map[string]*table.Table, columnar string, par int) *batch.Result {
 	t.Helper()
 	e := &batch.Executor{Parallelism: par, Columnar: columnar}
-	res, err := e.Run(g, &task.Env{Parallelism: par}, sources)
+	res, err := e.RunWithCacheContext(context.Background(), g, &task.Env{Parallelism: par}, sources, nil)
 	if err != nil {
 		t.Fatalf("columnar=%s parallelism=%d: %v", columnar, par, err)
 	}
@@ -145,7 +146,7 @@ func diffFlow(t *testing.T, flow string, sources map[string]*table.Table) {
 func runPlanned(t testing.TB, g *dag.Graph, plan *dag.Plan, sources map[string]*table.Table, columnar string) *batch.Result {
 	t.Helper()
 	e := &batch.Executor{Parallelism: 1, Columnar: columnar, Plan: plan}
-	res, err := e.Run(g, &task.Env{Parallelism: 1}, sources)
+	res, err := e.RunWithCacheContext(context.Background(), g, &task.Env{Parallelism: 1}, sources, nil)
 	if err != nil {
 		t.Fatalf("planned columnar=%s: %v", columnar, err)
 	}

@@ -78,6 +78,18 @@ func (d *DataDef) SetProp(key, val string) {
 	d.Props[key] = val
 }
 
+// The values of the `columnar:` data detail, which steers the batch
+// engine's vectorized execution planner (docs/ENGINE.md).
+const (
+	ColumnarAuto = "auto"
+	ColumnarOn   = "on"
+	ColumnarOff  = "off"
+)
+
+// ColumnarModes is the set of valid `columnar:` values. The validator
+// and flowlint check against it; unset means auto.
+var ColumnarModes = []string{ColumnarAuto, ColumnarOn, ColumnarOff}
+
 // Ref names a data object, task or widget in a pipeline, qualified by
 // section: D.name, T.name or W.name.
 type Ref struct {

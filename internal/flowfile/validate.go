@@ -2,6 +2,7 @@ package flowfile
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -141,7 +142,7 @@ func (f *File) Validate(allowShared bool) error {
 		}
 		// The columnar detail steers the batch engine's vectorized
 		// execution planner (docs/ENGINE.md).
-		if v := d.Prop("columnar"); v != "" && v != "auto" && v != "on" && v != "off" {
+		if v := d.Prop("columnar"); v != "" && !slices.Contains(ColumnarModes, v) {
 			e.addCoded(ProblemColumnar, d.Line, "data object D.%s: columnar must be auto, on or off (got %q)", name, v)
 		}
 		// Admission details steer the serving layer's result cache and
@@ -224,18 +225,6 @@ func (f *File) Validate(allowShared bool) error {
 	}
 	if len(e.Problems) > 0 {
 		return e
-	}
-	return nil
-}
-
-// ProducedBy returns the flow that produces the named data object, or nil.
-func (f *File) ProducedBy(name string) *Flow {
-	for _, fl := range f.Flows {
-		for _, out := range fl.Outputs {
-			if out.Name == name {
-				return fl
-			}
-		}
 	}
 	return nil
 }

@@ -39,14 +39,6 @@ func (d *Dir) cursorLocked() Cursor {
 	return Cursor{Gen: d.gen, Offset: int64(len(walMagic) + d.walBytes)}
 }
 
-// Generations reports the current WAL segment generation and the newest
-// durable snapshot generation (0 = none) for the health surface.
-func (d *Dir) Generations() (gen, snapGen uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.gen, d.snapGen
-}
-
 // ShipFrames reads committed frame bytes starting at the cursor: at
 // most max bytes (0 = unbounded), never past the committed offset, and
 // only from the current segment. It returns the frames, the cursor

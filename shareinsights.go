@@ -33,53 +33,21 @@ import (
 
 	"shareinsights/internal/admission"
 	"shareinsights/internal/connector"
-	"shareinsights/internal/dag"
 	"shareinsights/internal/dashboard"
 	"shareinsights/internal/engine/batch"
 	"shareinsights/internal/flowfile"
 	"shareinsights/internal/hackathon"
 	"shareinsights/internal/obs"
 	"shareinsights/internal/replica"
-	"shareinsights/internal/resilience"
-	"shareinsights/internal/schema"
 	"shareinsights/internal/server"
 	"shareinsights/internal/share"
 	"shareinsights/internal/store"
 	"shareinsights/internal/store/persist"
-	"shareinsights/internal/table"
-	"shareinsights/internal/table/colstore"
 	"shareinsights/internal/task"
-	"shareinsights/internal/value"
-	"shareinsights/internal/vcs"
 )
 
-// Core model types.
-type (
-	// FlowFile is a parsed flow file — the unified pipeline description.
-	FlowFile = flowfile.File
-	// Schema is a data object's column structure.
-	Schema = schema.Schema
-	// Table is a materialized data object.
-	Table = table.Table
-	// Row is one tuple of a Table.
-	Row = table.Row
-	// Value is a dynamically typed cell value.
-	Value = value.V
-	// ColumnarBatch is the columnar representation of a Table: typed
-	// column vectors with null bitmaps, used by the batch engine's
-	// vectorized execution path (docs/ENGINE.md).
-	ColumnarBatch = colstore.Batch
-	// ColumnVec is one typed column vector of a ColumnarBatch.
-	ColumnVec = colstore.Vec
-)
-
-// Columnar planner modes for the batch engine's `columnar:` data detail
-// and Executor default; see docs/ENGINE.md.
-const (
-	ColumnarAuto = batch.ColumnarAuto
-	ColumnarOn   = batch.ColumnarOn
-	ColumnarOff  = batch.ColumnarOff
-)
+// FlowFile is a parsed flow file — the unified pipeline description.
+type FlowFile = flowfile.File
 
 // Platform services.
 type (
@@ -96,79 +64,14 @@ type (
 	ConnectorOptions = connector.Options
 	// TaskRegistry resolves task types, including user extensions.
 	TaskRegistry = task.Registry
-	// TaskEnv carries runtime context (resources, widget selections)
-	// into task execution.
-	TaskEnv = task.Env
 	// Server exposes the development and data REST APIs.
 	Server = server.Server
-	// Repo versions one dashboard's flow file (branch/merge/fork).
-	Repo = vcs.Repo
-	// Tracer receives execution spans; see docs/OBSERVABILITY.md.
-	Tracer = obs.Tracer
-	// Trace collects spans into a tree (the standard Tracer).
+	// Trace collects spans into a tree; see docs/OBSERVABILITY.md.
 	Trace = obs.Trace
 	// MetricsRegistry holds counters, gauges and histograms and writes
 	// the Prometheus text exposition.
 	MetricsRegistry = obs.Registry
 )
-
-// Cost-based optimizer surfaces; see docs/OPTIMIZER.md. A Plan is what
-// Dashboard.Explain (the next run) and Dashboard.LastPlan (the run that
-// happened) return, and what `shareinsights explain` and
-// GET /dashboards/{name}/explain render.
-type (
-	// Plan is a compiled flow's cost-based execution plan: per-node
-	// stage orders, pushdowns and path choices in topological order.
-	Plan = dag.Plan
-	// NodePlan is one data object's slice of a Plan.
-	NodePlan = dag.NodePlan
-	// PlanDecision is one optimizer rewrite with the evidence
-	// (history, facts or heuristic) that justified it.
-	PlanDecision = dag.Decision
-	// SourcePushdown is a negotiated fetch-time rewrite: a predicate
-	// and/or never-read columns offered to the connector, which may
-	// decline (the pipeline re-applies the predicate either way).
-	SourcePushdown = dag.SourcePushdown
-)
-
-// Resilience and fault tolerance; see docs/RESILIENCE.md.
-type (
-	// RetryPolicy configures connector retries: attempt budget,
-	// full-jitter exponential backoff, per-attempt timeout.
-	RetryPolicy = resilience.Policy
-	// BreakerConfig configures the per-(protocol, source) circuit
-	// breakers guarding connector loads.
-	BreakerConfig = resilience.BreakerConfig
-	// RunHealth summarizes a dashboard run: ok, degraded or error, with
-	// per-source detail. Served by GET /dashboards/{name}/health.
-	RunHealth = dashboard.RunHealth
-	// SourceHealth is one source's outcome within a RunHealth.
-	SourceHealth = dashboard.SourceHealth
-	// PanicError is a recovered task panic, surfaced as a stage error.
-	PanicError = batch.PanicError
-	// FaultConfig configures injected connector failures for chaos
-	// testing.
-	FaultConfig = connector.FaultConfig
-	// FaultProtocol wraps a Protocol with fault injection.
-	FaultProtocol = connector.FaultProtocol
-	// FaultFormat wraps a Format with fault injection.
-	FaultFormat = connector.FaultFormat
-)
-
-// DefaultRetryPolicy returns the connector retry defaults (2 retries,
-// 50ms base delay with full jitter, 5s max delay).
-func DefaultRetryPolicy() RetryPolicy { return resilience.Defaults() }
-
-// NewFaultProtocol wraps a protocol with configurable fault injection
-// (error rates, latency, hangs, short reads) for chaos testing.
-func NewFaultProtocol(inner connector.Protocol, cfg FaultConfig) *FaultProtocol {
-	return connector.NewFaultProtocol(inner, cfg)
-}
-
-// NewFaultFormat wraps a payload format with fault injection.
-func NewFaultFormat(inner connector.Format, cfg FaultConfig) *FaultFormat {
-	return connector.NewFaultFormat(inner, cfg)
-}
 
 // NewPlatform returns a platform with the standard task library,
 // connector set and an empty shared catalog, optimization enabled.
@@ -261,13 +164,6 @@ type LoadReport = hackathon.LoadReport
 // RunLoad drives concurrent dashboard sessions against a serve
 // process's HTTP API and reports how its admission control held up.
 func RunLoad(cfg LoadConfig) (*LoadReport, error) { return hackathon.RunLoad(cfg) }
-
-// NewRepo creates a flow-file repository for the branch-and-merge
-// collaboration model of §4.5.1.
-func NewRepo(name string) *Repo { return vcs.NewRepo(name) }
-
-// NewCatalog creates an empty shared-object catalog.
-func NewCatalog() *Catalog { return share.NewCatalog() }
 
 // NewTrace creates an execution-trace collector; attach it to
 // Platform.Tracer (every run) or Dashboard.SetTracer (one run).
