@@ -69,9 +69,6 @@ type Platform struct {
 	// (auto, on or off; empty means auto). A data object's `columnar:`
 	// detail overrides it per node. See docs/ENGINE.md.
 	Columnar string
-	// Trace receives task-execution telemetry (feeds the Figure 31
-	// platform-usage dashboard).
-	Trace func(taskType string, outRows int)
 	// Tracer receives structured execution spans for every run on the
 	// platform (run → connector fetch → task stage → widget render).
 	// nil disables tracing; per-run tracers can be set on a Dashboard
@@ -193,7 +190,6 @@ func (p *Platform) Compile(f *flowfile.File, resources map[string][]byte) (*Dash
 	d.env = &task.Env{
 		Resources:   resources,
 		Parallelism: p.Parallelism,
-		Trace:       p.Trace,
 		WidgetValue: d.widgetValue,
 	}
 	if p.Optimize {

@@ -366,11 +366,7 @@ func (d *Dashboard) recordRunHistory(dur time.Duration, runErr error) {
 		run.ColumnarFallbacks = st.ColumnarFallbacks
 		run.Stages = make([]history.StageRecord, 0, len(st.Timings))
 		for _, t := range st.Timings {
-			rec := history.StageRecord{
-				Output: t.Output, Stage: t.Stage, RowsIn: t.RowsIn, Rows: t.Rows,
-				DurationUS: t.Duration.Microseconds(), QueueWaitUS: t.QueueWait.Microseconds(),
-				Path: t.Path, Plan: t.Plan,
-			}
+			rec := StageRecord(t)
 			// A filter whose predicate the connector applied at fetch
 			// sees pre-filtered rows: mark the record so the profile
 			// keeps the genuine selectivity the pushdown was justified
@@ -391,6 +387,16 @@ func (d *Dashboard) recordRunHistory(dur time.Duration, runErr error) {
 		}
 	}
 	rec.Record(run)
+}
+
+// StageRecord is one stage timing as the run history stores it and the
+// /stats API reports it.
+func StageRecord(t StageTiming) history.StageRecord {
+	return history.StageRecord{
+		Output: t.Output, Stage: t.Stage, RowsIn: t.RowsIn, Rows: t.Rows,
+		DurationUS: t.Duration.Microseconds(), QueueWaitUS: t.QueueWait.Microseconds(),
+		Path: t.Path, Plan: t.Plan,
+	}
 }
 
 // loadSource materializes one source data object: shared catalog

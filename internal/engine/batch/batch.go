@@ -708,7 +708,6 @@ func (e *Executor) runRowLocal(env *task.Env, run []task.RowLocal, in *table.Tab
 		if err := apply(rows, out, counts); err != nil {
 			return nil, nil, err
 		}
-		traceRun(env, run, out.Len())
 		return out, counts, nil
 	}
 	parts := make([]*table.Table, workers)
@@ -753,7 +752,6 @@ func (e *Executor) runRowLocal(env *task.Env, run []task.RowLocal, in *table.Tab
 			counts[i] += c
 		}
 	}
-	traceRun(env, run, out.Len())
 	return out, counts, nil
 }
 
@@ -764,15 +762,6 @@ func describeRun(run []task.RowLocal) string {
 		parts[i] = task.Describe(rl)
 	}
 	return strings.Join(parts, " | ")
-}
-
-func traceRun(env *task.Env, run []task.RowLocal, rows int) {
-	if env == nil || env.Trace == nil {
-		return
-	}
-	for _, rl := range run {
-		env.Trace(rl.Type(), rows)
-	}
 }
 
 // runGrouped shards a Grouped spec: each worker builds a partial
@@ -839,14 +828,7 @@ func (e *Executor) runGrouped(env *task.Env, gr task.Grouped, in *table.Table, n
 			return nil, err
 		}
 	}
-	out, err := root.Result()
-	if err != nil {
-		return nil, err
-	}
-	if env != nil && env.Trace != nil {
-		env.Trace(gr.Type(), out.Len())
-	}
-	return out, nil
+	return root.Result()
 }
 
 // SortedNames returns result table names sorted, for stable reporting.

@@ -193,9 +193,6 @@ func (e *Executor) tryVecStage(env *task.Env, specs []task.Spec, i int, mode str
 	d := time.Since(start)
 	record(StageTiming{Stage: desc, RowsIn: nIn, Rows: out.Len(), Duration: d, Path: PathColumnar})
 	endStageSpan(tr, sid, nIn, out.Len(), d)
-	if env != nil && env.Trace != nil {
-		env.Trace(spec.Type(), out.Len())
-	}
 	st.setBatch(out)
 	return true, nil
 }

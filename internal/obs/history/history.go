@@ -20,7 +20,6 @@ package history
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -216,9 +215,8 @@ type Options struct {
 	// floor — sub-millisecond stages jitter too much to alert on
 	// (default 500µs).
 	MinDurationUS int64
-	// CompactBytes / CompactRecords trigger a snapshot once the WAL
-	// crosses either threshold (defaults 1 MiB / 512 records).
-	CompactBytes   int
+	// CompactRecords triggers a snapshot once the WAL holds this many
+	// records (default 512); a WAL past compactBytes also compacts.
 	CompactRecords int
 	// Metrics receives si_stage_regressions_total and rides into the
 	// store layer's si_store_* series (optional).
@@ -243,9 +241,6 @@ func (o Options) withDefaults() Options {
 	if o.MinDurationUS <= 0 {
 		o.MinDurationUS = 500
 	}
-	if o.CompactBytes <= 0 {
-		o.CompactBytes = 1 << 20
-	}
 	if o.CompactRecords <= 0 {
 		o.CompactRecords = 512
 	}
@@ -254,6 +249,10 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// compactBytes triggers a snapshot once the WAL exceeds this many
+// bytes.
+const compactBytes = 1 << 20
 
 // profKey identifies one profiled stage.
 type profKey struct{ flow, output, stage string }
@@ -300,15 +299,10 @@ func Open(fs store.FS, opts Options) (*Recorder, error) {
 		return nil, err
 	}
 	for _, rc := range rec.Records {
-		if rc.Type != recRun {
-			continue
-		}
-		var run RunRecord
-		if err := json.Unmarshal(rc.Payload, &run); err != nil {
+		if err := r.applyRecordLocked(rc); err != nil {
 			dir.Close()
-			return nil, fmt.Errorf("history: decode run record: %w", err)
+			return nil, err
 		}
-		r.applyLocked(&run)
 	}
 	rec.Records, rec.Snapshot = nil, nil // release replay buffers
 	r.dir = dir
@@ -463,7 +457,7 @@ func (r *Recorder) snapshotLocked() snapshot {
 // acknowledged runs.
 func (r *Recorder) maybeCompactLocked() {
 	b, n := r.dir.WALSize()
-	if b < r.opts.CompactBytes && n < r.opts.CompactRecords {
+	if b < compactBytes && n < r.opts.CompactRecords {
 		return
 	}
 	if payload, err := json.Marshal(r.snapshotLocked()); err == nil {

@@ -9,8 +9,8 @@ import (
 
 // Replication hooks (docs/REPLICATION.md): a follower rebuilds a
 // memory-only Recorder from the leader's shipped snapshot + WAL frames.
-// The frames are the same records Open replays locally, so the follower
-// walks exactly the PR 5 recovery path — just fed over the wire.
+// The frames are the same records Open replays locally, and both go
+// through applyRecordLocked — one recovery path, fed over the wire.
 
 // loadSnapshotLocked replaces the recorder's state with a snapshot
 // payload. A nil payload resets to empty (a leader that never
@@ -47,15 +47,21 @@ func (r *Recorder) ApplySnapshot(payload []byte) error {
 // ApplyRecord folds one shipped WAL record into the rings and profiles,
 // preserving the leader-assigned sequence number.
 func (r *Recorder) ApplyRecord(rec store.Record) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.applyRecordLocked(rec)
+}
+
+// applyRecordLocked decodes and installs one WAL record — the replay
+// step shared by Open and ApplyRecord. Unknown record types skip.
+func (r *Recorder) applyRecordLocked(rec store.Record) error {
 	if rec.Type != recRun {
-		return nil // same tolerance as local replay: unknown types skip
+		return nil
 	}
 	var run RunRecord
 	if err := json.Unmarshal(rec.Payload, &run); err != nil {
 		return fmt.Errorf("history: decode run record: %w", err)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.applyLocked(&run)
 	return nil
 }

@@ -35,18 +35,20 @@ type Config struct {
 	Breaker resilience.BreakerConfig
 	// PollInterval is the Run loop cadence (default 500ms).
 	PollInterval time.Duration
-	// MaxBatchBytes caps one WAL fetch (default 1 MiB).
-	MaxBatchBytes int
-	// CompactBytes / CompactRecords trigger a replica-WAL snapshot once
-	// a component's wrapper log crosses either threshold (defaults
-	// 4 MiB / 1024 records).
-	CompactBytes   int
-	CompactRecords int
 	// Metrics receives the si_replication_* instruments (optional).
 	Metrics *obs.Registry
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
+
+// Replica-WAL limits: one WAL fetch carries at most maxBatchBytes of
+// frames, and a component's wrapper log is snapshotted once it crosses
+// compactBytes or compactRecords.
+const (
+	maxBatchBytes  = 1 << 20
+	compactBytes   = 4 << 20
+	compactRecords = 1024
+)
 
 // recShip is the wrapper record type in a follower's replica WAL: one
 // record per applied batch, payload = 8B LE generation + 8B LE
@@ -109,15 +111,6 @@ type Follower struct {
 func New(cfg Config) (*Follower, error) {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 500 * time.Millisecond
-	}
-	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = 1 << 20
-	}
-	if cfg.CompactBytes <= 0 {
-		cfg.CompactBytes = 4 << 20
-	}
-	if cfg.CompactRecords <= 0 {
-		cfg.CompactRecords = 1024
 	}
 	if cfg.Retry.MaxRetries == 0 && cfg.Retry.BaseDelay == 0 {
 		cfg.Retry = resilience.Defaults()
@@ -397,7 +390,7 @@ func (f *Follower) applyBatch(fc *followerComp, next store.Cursor, frames []byte
 		f.met.frames.With(fc.name).Add(int64(len(recs)))
 	}
 	if fc.dir != nil {
-		if b, n := fc.dir.WALSize(); b >= f.cfg.CompactBytes || n >= f.cfg.CompactRecords {
+		if b, n := fc.dir.WALSize(); b >= compactBytes || n >= compactRecords {
 			f.writeWrapperSnapshot(fc) // best-effort, like leader compaction
 		}
 	}
@@ -416,13 +409,8 @@ func (f *Follower) bootstrap(ctx context.Context, fc *followerComp) error {
 	if err != nil {
 		return err
 	}
-	if err := f.comps.ApplySnapshot(fc.name, b.Snapshot); err != nil {
+	if err := f.comps.Replay(fc.name, b.Snapshot, recs); err != nil {
 		return err
-	}
-	for _, r := range recs {
-		if err := f.comps.ApplyRecord(fc.name, r); err != nil {
-			return err
-		}
 	}
 	f.mu.Lock()
 	fc.cursor = b.Next
@@ -484,7 +472,7 @@ func (f *Follower) getJSON(ctx context.Context, path string, out any) error {
 // fetchWAL fetches one batch of frames; errGone reports a 410.
 func (f *Follower) fetchWAL(ctx context.Context, component string, cur store.Cursor) (frames []byte, next store.Cursor, err error) {
 	url := fmt.Sprintf("%s/replica/wal/%s?gen=%d&off=%d&max=%d",
-		f.cfg.LeaderURL, component, cur.Gen, cur.Offset, f.cfg.MaxBatchBytes)
+		f.cfg.LeaderURL, component, cur.Gen, cur.Offset, maxBatchBytes)
 	_, err = f.cfg.Retry.Do(ctx, func(ctx context.Context) error {
 		body, hdr, gerr := f.get(ctx, url)
 		if gerr != nil {

@@ -423,31 +423,11 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	w.Write(content)
 }
 
-// stageJSON is one stage timing in API responses.
-type stageJSON struct {
-	Output      string `json:"output"`
-	Stage       string `json:"stage"`
-	RowsIn      int    `json:"rows_in"`
-	Rows        int    `json:"rows"`
-	DurationUS  int64  `json:"duration_us"`
-	QueueWaitUS int64  `json:"queue_wait_us"`
-	// Path is the execution path that ran the stage: "row" or
-	// "columnar" (docs/ENGINE.md).
-	Path string `json:"path"`
-	// Plan summarizes the optimizer rules applied to the stage's node,
-	// "as-written" when none ran (docs/OPTIMIZER.md); empty when the
-	// run executed without a cost-based plan.
-	Plan string `json:"plan,omitempty"`
-}
-
-func stagesJSON(timings []dashboard.StageTiming) []stageJSON {
-	out := make([]stageJSON, 0, len(timings))
+// stagesJSON renders stage timings in the run-history record format.
+func stagesJSON(timings []dashboard.StageTiming) []history.StageRecord {
+	out := make([]history.StageRecord, 0, len(timings))
 	for _, st := range timings {
-		out = append(out, stageJSON{
-			Output: st.Output, Stage: st.Stage, RowsIn: st.RowsIn, Rows: st.Rows,
-			DurationUS: st.Duration.Microseconds(), QueueWaitUS: st.QueueWait.Microseconds(),
-			Path: st.Path, Plan: st.Plan,
-		})
+		out = append(out, dashboard.StageRecord(st))
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 
@@ -682,6 +683,26 @@ func TestObservabilityRoutes(t *testing.T) {
 	}
 	if !sawPlan {
 		t.Errorf("no stage carries a plan tag: %s", body)
+	}
+	// Each timing object has exactly the stage-record keys: plan when
+	// tagged, never the history-only sub / pushed_down.
+	var raw struct {
+		Timings []map[string]json.RawMessage `json:"timings"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range raw.Timings {
+		keys := make([]string, 0, len(st))
+		for k := range st {
+			if k != "plan" {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		if got := strings.Join(keys, ","); got != "duration_us,output,path,queue_wait_us,rows,rows_in,stage" {
+			t.Errorf("timing keys = %s", got)
+		}
 	}
 
 	// The trace tree names the run and the executed node.

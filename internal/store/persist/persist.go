@@ -1,6 +1,7 @@
 // Package persist wires the platform's stateful components — the
-// flow-file VCS repositories, the shared-object catalog and the
-// last-good source cache — to crash-consistent storage (internal/store).
+// flow-file VCS repositories, the shared-object catalog, the last-good
+// source cache and the run-history recorder — to crash-consistent
+// storage (internal/store).
 //
 // Each component gets its own WAL + snapshot directory. Mutations are
 // journaled write-ahead: the component's journal hook appends to the
@@ -9,17 +10,20 @@
 // crash, recovery replays snapshot + WAL and the rebuilt state equals
 // exactly the acknowledged prefix of operations.
 //
-// Compaction uses a shadow replica per component: every journaled entry
-// is also applied to a shadow copy under the store's own lock, so a
-// snapshot can be exported from the shadow at a WAL-size threshold
-// without racing appends — no record can land in a WAL segment after
-// the snapshot that supersedes it was cut.
+// One replay path serves every role. Components holds each component's
+// in-memory state and its apply/export methods: leader recovery replays
+// local segments through it, the leader's journal hooks mirror every
+// acknowledged entry into it (the store's shadow replica), compaction
+// and damage repair snapshot from it, and a follower (internal/replica)
+// feeds it shipped frames. The shadow is updated under the component's
+// journal lock, so a snapshot exported from it never races an append —
+// no record can land in a WAL segment after the snapshot that
+// supersedes it was cut.
 package persist
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -31,13 +35,14 @@ import (
 	"shareinsights/internal/vcs"
 )
 
+// compactBytes triggers a snapshot once a component's WAL exceeds this
+// many bytes.
+const compactBytes = 4 << 20
+
 // Options configures a Store.
 type Options struct {
 	// Metrics receives the si_store_* instruments (optional).
 	Metrics *obs.Registry
-	// CompactBytes triggers a snapshot once a component's WAL exceeds
-	// this many bytes (default 4 MiB).
-	CompactBytes int
 	// CompactRecords triggers a snapshot once a component's WAL holds
 	// this many records (default 1024).
 	CompactRecords int
@@ -45,35 +50,42 @@ type Options struct {
 	Now func() time.Time
 }
 
-// component bundles one durable directory with its shadow-replica lock.
+// Indexes into Store.comps, in ComponentNames order.
+const (
+	vcsComp = iota
+	catalogComp
+	cacheComp
+	historyComp
+)
+
+// component is one durable directory with its recovery report and the
+// journal lock that orders its appends with its shadow's updates.
 type component struct {
-	mu  sync.Mutex
-	dir *store.Dir
+	name string
+	mu   sync.Mutex
+	dir  *store.Dir
+	rec  *store.Recovery
 }
 
 // Store is the platform's durable state: four journaled components
 // sharing one data directory (vcs, catalog, cache, history).
 type Store struct {
-	vcsC, catC, cacheC component
+	// comps lists the components in ComponentNames order. The store
+	// journals vcs, catalog and cache; history's directory belongs to
+	// its recorder, which journals and compacts itself.
+	comps []*component
 
-	// recorder is the run-history flight recorder; it owns its own
-	// store.Dir under "history" and journals itself (one WAL record
-	// per run, snapshot at its own thresholds).
-	recorder *history.Recorder
+	// shadow holds exactly the acknowledged vcs, catalog and cache
+	// state, each part updated under its component's journal lock; its
+	// recorder is the durable history recorder itself.
+	shadow *Components
 
 	opts Options
 	now  func() time.Time
 
-	// Shadow replicas, guarded by their component's mutex.
-	shadowRepos   map[string]*vcs.Repo
-	shadowCatalog *share.Catalog
-	shadowCache   *dashboard.SourceCache
-
 	// liveRepos are the journaled repositories handed to the server,
-	// guarded by vcsC.mu.
+	// guarded by the vcs component's lock.
 	liveRepos map[string]*vcs.Repo
-
-	recoveries []*store.Recovery
 }
 
 // ComponentStatus is one component's durability state for the health
@@ -93,48 +105,43 @@ type ComponentStatus struct {
 // recovery for every component. Use store.NewOSFS(dataDir) in
 // production; tests inject MemFS/FaultFS.
 func Open(fs store.FS, opts Options) (*Store, error) {
-	if opts.CompactBytes <= 0 {
-		opts.CompactBytes = 4 << 20
-	}
 	if opts.CompactRecords <= 0 {
 		opts.CompactRecords = 1024
 	}
 	s := &Store{
-		opts:          opts,
-		now:           opts.Now,
-		shadowRepos:   map[string]*vcs.Repo{},
-		shadowCatalog: share.NewCatalog(),
-		shadowCache:   dashboard.NewSourceCache(),
-		liveRepos:     map[string]*vcs.Repo{},
+		opts:      opts,
+		now:       opts.Now,
+		shadow:    newComponents(nil),
+		liveRepos: map[string]*vcs.Repo{},
 	}
 	if s.now == nil {
 		s.now = time.Now
 	}
-	var err error
-	if s.vcsC.dir, err = s.recoverVCS(fs); err != nil {
+	for _, name := range ComponentNames[:historyComp] {
+		dir, rec, err := store.OpenDir(fs, name, name, opts.Metrics)
+		if err != nil {
+			s.Close()
+			return nil, err
+		}
+		s.comps = append(s.comps, &component{name: name, dir: dir, rec: rec})
+		if err := s.shadow.Replay(name, rec.Snapshot, rec.Records); err != nil {
+			s.Close()
+			return nil, err
+		}
+		rec.Records, rec.Snapshot = nil, nil // release replay buffers
+	}
+	recorder, err := history.Open(fs, history.Options{Metrics: opts.Metrics, Now: s.now})
+	if err != nil {
+		s.Close()
 		return nil, err
 	}
-	if s.catC.dir, err = s.recoverCatalog(fs); err != nil {
-		s.vcsC.dir.Close()
-		return nil, err
-	}
-	if s.cacheC.dir, err = s.recoverCache(fs); err != nil {
-		s.vcsC.dir.Close()
-		s.catC.dir.Close()
-		return nil, err
-	}
-	if s.recorder, err = history.Open(fs, history.Options{Metrics: opts.Metrics, Now: s.now}); err != nil {
-		s.vcsC.dir.Close()
-		s.catC.dir.Close()
-		s.cacheC.dir.Close()
-		return nil, err
-	}
-	s.recoveries = append(s.recoveries, s.recorder.Recovery())
+	s.shadow.recorder = recorder
+	s.comps = append(s.comps, &component{name: "history", dir: recorder.Dir(), rec: recorder.Recovery()})
 	// Live repositories are rebuilt from the shadows: distinct objects
 	// (the journal hook applies entries to the shadow under the store
 	// lock, which would deadlock if live and shadow were the same repo)
 	// sharing immutable blob and commit payloads.
-	for name, sh := range s.shadowRepos {
+	for name, sh := range s.shadow.repos {
 		live := vcs.FromState(sh.State())
 		live.SetJournal(s.repoJournal(name))
 		s.liveRepos[name] = live
@@ -142,232 +149,113 @@ func Open(fs store.FS, opts Options) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) recoverVCS(fs store.FS) (*store.Dir, error) {
-	dir, rec, err := store.OpenDir(fs, "vcs", "vcs", s.opts.Metrics)
-	if err != nil {
-		return nil, err
+// journal is the write-ahead path of every leader mutation: append the
+// record to c's WAL, mirror the acknowledged mutation into the shadow,
+// and compact when the WAL crosses its threshold.
+func (s *Store) journal(c *component, payload []byte, apply func() error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := s.appendLocked(c, payload); err != nil {
+		return err
 	}
-	if len(rec.Snapshot) > 0 {
-		var snap vcsSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			dir.Close()
-			return nil, fmt.Errorf("persist: decode vcs snapshot: %w", err)
-		}
-		for _, st := range snap.Repos {
-			s.shadowRepos[st.Name] = vcs.FromState(st)
-		}
+	if err := apply(); err != nil {
+		return err
 	}
-	for _, r := range rec.Records {
-		var vr vcsRecord
-		if err := json.Unmarshal(r.Payload, &vr); err != nil {
-			dir.Close()
-			return nil, fmt.Errorf("persist: decode vcs record: %w", err)
-		}
-		sh := s.shadowRepos[vr.Repo]
-		if sh == nil {
-			sh = vcs.NewRepo(vr.Repo)
-			s.shadowRepos[vr.Repo] = sh
-		}
-		if err := sh.Apply(vr.Entry); err != nil {
-			dir.Close()
-			return nil, fmt.Errorf("persist: replay vcs record for %q: %w", vr.Repo, err)
-		}
-	}
-	rec.Records, rec.Snapshot = nil, nil // release replay buffers
-	s.recoveries = append(s.recoveries, rec)
-	return dir, nil
+	s.maybeCompactLocked(c)
+	return nil
 }
 
-func (s *Store) recoverCatalog(fs store.FS) (*store.Dir, error) {
-	dir, rec, err := store.OpenDir(fs, "catalog", "catalog", s.opts.Metrics)
-	if err != nil {
-		return nil, err
-	}
-	if len(rec.Snapshot) > 0 {
-		var snap catSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			dir.Close()
-			return nil, fmt.Errorf("persist: decode catalog snapshot: %w", err)
-		}
-		for _, o := range snap.Objects {
-			e, err := catEntryOf(o)
-			if err != nil {
-				dir.Close()
-				return nil, err
-			}
-			s.shadowCatalog.Apply(e)
+// appendLocked journals one entry. A directory damaged by an earlier
+// failed append is first repaired with a snapshot of the shadow, which
+// holds exactly the acknowledged state: it is updated only after a
+// successful append.
+func (s *Store) appendLocked(c *component, payload []byte) error {
+	if c.dir.Damaged() != nil {
+		if err := s.snapshotLocked(c); err != nil {
+			return err
 		}
 	}
-	for _, r := range rec.Records {
-		e, err := decodeCatEntry(r.Payload)
-		if err != nil {
-			dir.Close()
-			return nil, err
-		}
-		s.shadowCatalog.Apply(e)
-	}
-	rec.Records, rec.Snapshot = nil, nil
-	s.recoveries = append(s.recoveries, rec)
-	return dir, nil
+	return c.dir.Append(store.Record{Type: recEntry, Payload: payload})
 }
 
-func (s *Store) recoverCache(fs store.FS) (*store.Dir, error) {
-	dir, rec, err := store.OpenDir(fs, "cache", "cache", s.opts.Metrics)
-	if err != nil {
-		return nil, err
+// maybeCompactLocked snapshots the shadow once the WAL crosses a
+// threshold. Best-effort: a failed compaction leaves the WAL long (or
+// the dir damaged, repaired by the next append), never loses
+// acknowledged state.
+func (s *Store) maybeCompactLocked(c *component) {
+	if b, n := c.dir.WALSize(); b >= compactBytes || n >= s.opts.CompactRecords {
+		s.snapshotLocked(c)
 	}
-	seed := func(cr cacheRecord) error { return seedCacheRecord(s.shadowCache, cr) }
-	if len(rec.Snapshot) > 0 {
-		var snap cacheSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			dir.Close()
-			return nil, fmt.Errorf("persist: decode cache snapshot: %w", err)
-		}
-		for _, cr := range snap.Entries {
-			if err := seed(cr); err != nil {
-				dir.Close()
-				return nil, err
-			}
-		}
-	}
-	for _, r := range rec.Records {
-		var cr cacheRecord
-		if err := json.Unmarshal(r.Payload, &cr); err != nil {
-			dir.Close()
-			return nil, fmt.Errorf("persist: decode cache record: %w", err)
-		}
-		if err := seed(cr); err != nil {
-			dir.Close()
-			return nil, err
-		}
-	}
-	rec.Records, rec.Snapshot = nil, nil
-	s.recoveries = append(s.recoveries, rec)
-	return dir, nil
 }
 
-// repoJournal returns the write-ahead hook for one repository. It runs
-// under the live repo's lock: append to the WAL, mirror into the shadow
-// repo, and compact when the WAL crosses its threshold.
+func (s *Store) snapshotLocked(c *component) error {
+	payload, err := s.shadow.ExportSnapshot(c.name)
+	if err != nil {
+		return err
+	}
+	return c.dir.Snapshot(payload, s.now())
+}
+
+// repoJournal returns the write-ahead hook for one repository (runs
+// under the live repo's lock).
 func (s *Store) repoJournal(name string) func(vcs.Entry) error {
 	return func(e vcs.Entry) error {
-		s.vcsC.mu.Lock()
-		defer s.vcsC.mu.Unlock()
 		payload, err := json.Marshal(vcsRecord{Repo: name, Entry: e})
 		if err != nil {
 			return err
 		}
-		if err := s.vcsC.dir.Append(store.Record{Type: recEntry, Payload: payload}); err != nil {
-			return err
-		}
-		sh := s.shadowRepos[name]
-		if sh == nil {
-			sh = vcs.NewRepo(name)
-			s.shadowRepos[name] = sh
-		}
-		if err := sh.Apply(e); err != nil {
-			return err
-		}
-		s.maybeCompactVCSLocked()
-		return nil
+		return s.journal(s.comps[vcsComp], payload, func() error { return s.shadow.applyVCS(name, e) })
 	}
-}
-
-func (s *Store) maybeCompactVCSLocked() {
-	if !s.wantCompact(s.vcsC.dir) {
-		return
-	}
-	names := make([]string, 0, len(s.shadowRepos))
-	for n := range s.shadowRepos {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	snap := vcsSnapshot{Repos: make([]*vcs.RepoState, 0, len(names))}
-	for _, n := range names {
-		snap.Repos = append(snap.Repos, s.shadowRepos[n].State())
-	}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return
-	}
-	// Best-effort: a failed compaction leaves the WAL long (or the dir
-	// damaged), never loses acknowledged state.
-	s.vcsC.dir.Snapshot(payload, s.now())
-}
-
-func (s *Store) wantCompact(d *store.Dir) bool {
-	b, n := d.WALSize()
-	return b >= s.opts.CompactBytes || n >= s.opts.CompactRecords
 }
 
 // catalogJournal is the catalog's write-ahead hook (runs under the live
 // catalog's lock).
 func (s *Store) catalogJournal(e share.Entry) error {
-	s.catC.mu.Lock()
-	defer s.catC.mu.Unlock()
 	payload, err := encodeCatEntry(e)
 	if err != nil {
 		return err
 	}
-	if err := s.catC.dir.Append(store.Record{Type: recEntry, Payload: payload}); err != nil {
-		return err
-	}
-	if err := s.shadowCatalog.Apply(e); err != nil {
-		return err
-	}
-	if s.wantCompact(s.catC.dir) {
-		if payload, err := json.Marshal(exportCatalog(s.shadowCatalog)); err == nil {
-			s.catC.dir.Snapshot(payload, s.now())
-		}
-	}
-	return nil
+	return s.journal(s.comps[catalogComp], payload, func() error { return s.shadow.catalog.Apply(e) })
 }
 
 // cacheJournal is the last-good cache's write-ahead hook (runs under
 // the live cache's lock; failures are tolerated by the caller).
 func (s *Store) cacheJournal(dash, source string, e dashboard.SourceEntry) error {
-	s.cacheC.mu.Lock()
-	defer s.cacheC.mu.Unlock()
 	payload, err := json.Marshal(encodeCacheRecord(dash, source, e))
 	if err != nil {
 		return err
 	}
-	if err := s.cacheC.dir.Append(store.Record{Type: recEntry, Payload: payload}); err != nil {
-		return err
-	}
-	s.shadowCache.Seed(dash, source, e)
-	if s.wantCompact(s.cacheC.dir) {
-		if payload, err := json.Marshal(exportCache(s.shadowCache)); err == nil {
-			s.cacheC.dir.Snapshot(payload, s.now())
-		}
-	}
-	return nil
+	return s.journal(s.comps[cacheComp], payload, func() error {
+		s.shadow.cache.Seed(dash, source, e)
+		return nil
+	})
 }
 
 // WirePlatform seeds the platform's catalog and last-good cache with
 // the recovered state and installs their write-ahead journals. Call
 // once, before the platform serves traffic.
 func (s *Store) WirePlatform(p *dashboard.Platform) error {
-	for _, o := range s.shadowCatalog.Objects() {
+	for _, o := range s.shadow.catalog.Objects() {
 		if err := p.Catalog.Apply(share.Entry{Kind: share.EntryPublish, Object: o}); err != nil {
 			return err
 		}
 	}
 	p.Catalog.SetJournal(s.catalogJournal)
-	s.shadowCache.Entries(func(dash, src string, e dashboard.SourceEntry) { p.LastGood.Seed(dash, src, e) })
+	s.shadow.cache.Entries(func(dash, src string, e dashboard.SourceEntry) { p.LastGood.Seed(dash, src, e) })
 	p.LastGood.SetJournal(s.cacheJournal)
-	p.History = s.recorder
+	p.History = s.shadow.recorder
 	return nil
 }
 
 // History returns the durable run-history recorder.
-func (s *Store) History() *history.Recorder { return s.recorder }
+func (s *Store) History() *history.Recorder { return s.shadow.recorder }
 
 // Repos returns the recovered, journaled repositories by dashboard
 // name. The server owns them from here on.
 func (s *Store) Repos() map[string]*vcs.Repo {
-	s.vcsC.mu.Lock()
-	defer s.vcsC.mu.Unlock()
+	c := s.comps[vcsComp]
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make(map[string]*vcs.Repo, len(s.liveRepos))
 	for n, r := range s.liveRepos {
 		out[n] = r
@@ -381,22 +269,22 @@ func (s *Store) Repos() map[string]*vcs.Repo {
 // journal failure the repo is left unjournaled (memory-only) and the
 // error returned.
 func (s *Store) AdoptRepo(r *vcs.Repo) error {
-	st := r.State()
+	e := vcs.Entry{Kind: vcs.EntryState, State: r.State()}
 	r.SetJournal(s.repoJournal(r.Name))
-	s.vcsC.mu.Lock()
-	defer s.vcsC.mu.Unlock()
-	payload, err := json.Marshal(vcsRecord{Repo: r.Name, Entry: vcs.Entry{Kind: vcs.EntryState, State: st}})
-	if err != nil {
-		r.SetJournal(nil)
-		return err
+	payload, err := json.Marshal(vcsRecord{Repo: r.Name, Entry: e})
+	if err == nil {
+		err = s.journal(s.comps[vcsComp], payload, func() error {
+			if err := s.shadow.applyVCS(r.Name, e); err != nil {
+				return err
+			}
+			s.liveRepos[r.Name] = r
+			return nil
+		})
 	}
-	if err := s.vcsC.dir.Append(store.Record{Type: recEntry, Payload: payload}); err != nil {
+	if err != nil {
 		r.SetJournal(nil)
 		return fmt.Errorf("persist: adopt repo %q: %w", r.Name, err)
 	}
-	s.shadowRepos[r.Name] = vcs.FromState(st)
-	s.liveRepos[r.Name] = r
-	s.maybeCompactVCSLocked()
 	return nil
 }
 
@@ -404,52 +292,42 @@ func (s *Store) AdoptRepo(r *vcs.Repo) error {
 // registered on (nil when Options.Metrics was not set).
 func (s *Store) Metrics() *obs.Registry { return s.opts.Metrics }
 
-// Recoveries reports each component's recovery outcome, in open order
-// (vcs, catalog, cache).
-func (s *Store) Recoveries() []*store.Recovery { return s.recoveries }
+// Recoveries reports each component's recovery outcome, in
+// ComponentNames order (vcs, catalog, cache, history).
+func (s *Store) Recoveries() []*store.Recovery {
+	out := make([]*store.Recovery, len(s.comps))
+	for i, c := range s.comps {
+		out[i] = c.rec
+	}
+	return out
+}
 
 // Status reports each component's durability state for the health
 // surface.
 func (s *Store) Status() []ComponentStatus {
-	dirs := []*store.Dir{s.vcsC.dir, s.catC.dir, s.cacheC.dir}
-	out := make([]ComponentStatus, 0, len(s.recoveries))
-	for i, dir := range dirs {
-		st := ComponentStatus{Recovery: *s.recoveries[i]}
-		st.WALBytes, st.WALRecords = dir.WALSize()
-		cur := dir.Cursor()
+	out := make([]ComponentStatus, 0, len(s.comps))
+	for _, c := range s.comps {
+		st := ComponentStatus{Recovery: *c.rec}
+		st.WALBytes, st.WALRecords = c.dir.WALSize()
+		cur := c.dir.Cursor()
 		st.Generation, st.CommittedOffset = cur.Gen, cur.Offset
-		if err := dir.Damaged(); err != nil {
+		if err := c.dir.Damaged(); err != nil {
 			st.Damaged = err.Error()
 		}
 		out = append(out, st)
 	}
-	// The history recorder owns its own Dir; it reports through its
-	// Status accessor instead of a shared dirs slice.
-	hst := ComponentStatus{Recovery: *s.recorder.Recovery()}
-	var damaged error
-	hst.WALBytes, hst.WALRecords, damaged = s.recorder.Status()
-	if hdir := s.recorder.Dir(); hdir != nil {
-		cur := hdir.Cursor()
-		hst.Generation, hst.CommittedOffset = cur.Gen, cur.Offset
-	}
-	if damaged != nil {
-		hst.Damaged = damaged.Error()
-	}
-	return append(out, hst)
+	return out
 }
 
 // Close fsyncs and closes every component directory.
 func (s *Store) Close() error {
 	var first error
-	for _, c := range []*component{&s.vcsC, &s.catC, &s.cacheC} {
+	for _, c := range s.comps {
 		c.mu.Lock()
 		if err := c.dir.Close(); err != nil && first == nil {
 			first = err
 		}
 		c.mu.Unlock()
-	}
-	if err := s.recorder.Close(); err != nil && first == nil {
-		first = err
 	}
 	return first
 }

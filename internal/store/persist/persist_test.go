@@ -204,4 +204,17 @@ func TestStatusReportsDamage(t *testing.T) {
 	if !catDamaged {
 		t.Fatalf("catalog damage not surfaced: %+v", st.Status())
 	}
+	// The fault was one-shot: the next publish repairs the WAL with a
+	// snapshot of the acknowledged state and is acknowledged itself.
+	if _, err := p.Catalog.Publish("d", "obj", sampleTable(2)); err != nil {
+		t.Fatalf("publish after a transient fault: %v", err)
+	}
+	if obj, ok := p.Catalog.Resolve("obj"); !ok || obj.Data.Len() != 2 {
+		t.Fatalf("repaired publish not visible: %+v ok=%v", obj, ok)
+	}
+	for _, cs := range st.Status() {
+		if cs.Damaged != "" {
+			t.Errorf("%s still damaged after repair: %s", cs.Component, cs.Damaged)
+		}
+	}
 }

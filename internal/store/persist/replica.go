@@ -21,24 +21,22 @@ var ComponentNames = []string{"vcs", "catalog", "cache", "history"}
 // Dir exposes one component's durable directory for WAL shipping
 // (docs/REPLICATION.md). Nil for unknown components.
 func (s *Store) Dir(component string) *store.Dir {
-	switch component {
-	case "vcs":
-		return s.vcsC.dir
-	case "catalog":
-		return s.catC.dir
-	case "cache":
-		return s.cacheC.dir
-	case "history":
-		return s.recorder.Dir()
+	for _, c := range s.comps {
+		if c.name == component {
+			return c.dir
+		}
 	}
 	return nil
 }
 
-// Components is the follower half of the replay path: the same
-// in-memory objects Open rebuilds from local segments, fed shipped
-// frames instead. All apply methods go through the exact decode logic
-// local recovery uses, so a follower's state after applying a shipped
-// prefix equals a leader recovery over that prefix.
+// Components holds each component's in-memory state behind the one
+// replay path every role shares: leader recovery replays local segments
+// through Replay, the leader's journal hooks mirror acknowledged
+// entries into its shadow Components, leader compaction and a
+// follower's replica WAL snapshot through ExportSnapshot, and a follower
+// applies shipped frames through ApplyRecord. A follower's state after
+// applying a shipped prefix therefore equals a leader recovery over
+// that prefix.
 //
 // The contained objects are internally locked (vcs.Repo, share.Catalog,
 // dashboard.SourceCache, history.Recorder), so readers may hold them
@@ -54,11 +52,17 @@ type Components struct {
 
 // NewComponents returns an empty follower state.
 func NewComponents() *Components {
+	return newComponents(history.NewRecorder(history.Options{}))
+}
+
+// newComponents returns empty state around a given recorder (the
+// leader passes its durable one).
+func newComponents(recorder *history.Recorder) *Components {
 	return &Components{
 		repos:    map[string]*vcs.Repo{},
 		catalog:  share.NewCatalog(),
 		cache:    dashboard.NewSourceCache(),
-		recorder: history.NewRecorder(history.Options{}),
+		recorder: recorder,
 	}
 }
 
@@ -97,8 +101,8 @@ func (c *Components) Cache() *dashboard.SourceCache { return c.cache }
 // the follower's durability lives in its replica WAL, not here).
 func (c *Components) History() *history.Recorder { return c.recorder }
 
-// ApplySnapshot replaces one component's state with a leader bootstrap
-// payload (nil = reset to empty).
+// ApplySnapshot replaces one component's state with a snapshot payload
+// (nil = reset to empty).
 func (c *Components) ApplySnapshot(component string, payload []byte) error {
 	switch component {
 	case "vcs":
@@ -144,8 +148,21 @@ func (c *Components) ApplySnapshot(component string, payload []byte) error {
 	return fmt.Errorf("persist: unknown component %q", component)
 }
 
-// ApplyRecord folds one shipped WAL record into a component — the same
-// apply path local recovery replays.
+// Replay replaces one component's state with a snapshot payload plus
+// the records written after it — local recovery and follower bootstrap.
+func (c *Components) Replay(component string, snapshot []byte, recs []store.Record) error {
+	if err := c.ApplySnapshot(component, snapshot); err != nil {
+		return err
+	}
+	for _, r := range recs {
+		if err := c.ApplyRecord(component, r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ApplyRecord folds one WAL record into a component.
 func (c *Components) ApplyRecord(component string, rec store.Record) error {
 	switch component {
 	case "vcs":
@@ -153,26 +170,7 @@ func (c *Components) ApplyRecord(component string, rec store.Record) error {
 		if err := json.Unmarshal(rec.Payload, &vr); err != nil {
 			return fmt.Errorf("persist: decode vcs record: %w", err)
 		}
-		c.mu.Lock()
-		r := c.repos[vr.Repo]
-		created := r == nil
-		if created {
-			r = vcs.NewRepo(vr.Repo)
-			c.repos[vr.Repo] = r
-		}
-		fn := c.onRepos
-		var copied map[string]*vcs.Repo
-		if created && fn != nil {
-			copied = c.reposCopyLocked()
-		}
-		c.mu.Unlock()
-		if err := r.Apply(vr.Entry); err != nil {
-			return fmt.Errorf("persist: replay vcs record for %q: %w", vr.Repo, err)
-		}
-		if copied != nil {
-			fn(copied)
-		}
-		return nil
+		return c.applyVCS(vr.Repo, vr.Entry)
 	case "catalog":
 		e, err := decodeCatEntry(rec.Payload)
 		if err != nil {
@@ -191,9 +189,36 @@ func (c *Components) ApplyRecord(component string, rec store.Record) error {
 	return fmt.Errorf("persist: unknown component %q", component)
 }
 
+// applyVCS folds one repository entry into the named repo, creating
+// it on first sight — the one vcs mutation path of recovery, the
+// leader's journal hook and follower replay.
+func (c *Components) applyVCS(name string, e vcs.Entry) error {
+	c.mu.Lock()
+	r := c.repos[name]
+	created := r == nil
+	if created {
+		r = vcs.NewRepo(name)
+		c.repos[name] = r
+	}
+	fn := c.onRepos
+	var copied map[string]*vcs.Repo
+	if created && fn != nil {
+		copied = c.reposCopyLocked()
+	}
+	c.mu.Unlock()
+	if err := r.Apply(e); err != nil {
+		return fmt.Errorf("persist: replay vcs record for %q: %w", name, err)
+	}
+	if copied != nil {
+		fn(copied)
+	}
+	return nil
+}
+
 // ExportSnapshot serializes one component's full state in its snapshot
-// format — the payload the follower writes into its own replica WAL at
-// compaction, replayable by ApplySnapshot.
+// format, replayable by ApplySnapshot — the payload of leader
+// compaction and damage repair, and of the follower's own replica-WAL
+// snapshots.
 func (c *Components) ExportSnapshot(component string) ([]byte, error) {
 	switch component {
 	case "vcs":
@@ -251,8 +276,7 @@ func reloadCatalog(cat *share.Catalog, payload []byte) error {
 	return nil
 }
 
-// exportCatalog builds the catalog snapshot payload (shared with the
-// leader's compaction path in catalogJournal).
+// exportCatalog builds the catalog snapshot payload.
 func exportCatalog(cat *share.Catalog) catSnapshot {
 	objs := cat.Objects()
 	snap := catSnapshot{Objects: make([]catObject, 0, len(objs))}

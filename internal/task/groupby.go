@@ -549,10 +549,5 @@ func (s *GroupBySpec) Exec(env *Env, in []*table.Table, names []string) (*table.
 			return nil, err
 		}
 	}
-	res, err := g.Result()
-	if err != nil {
-		return nil, err
-	}
-	env.trace("groupby", res.Len())
-	return res, nil
+	return g.Result()
 }

@@ -336,7 +336,6 @@ func (s *JoinSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Tab
 			}
 		}
 	}
-	env.trace("join", res.Len())
 	return res, nil
 }
 

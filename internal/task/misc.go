@@ -110,7 +110,6 @@ func (s *SortSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Tab
 	if err := out.Sort(keys...); err != nil {
 		return nil, err
 	}
-	env.trace("sort", out.Len())
 	return out, nil
 }
 
@@ -164,7 +163,6 @@ func (s *DistinctSpec) Exec(env *Env, in []*table.Table, names []string) (*table
 		seen[k] = true
 		out.Append(r)
 	}
-	env.trace("distinct", out.Len())
 	return out, nil
 }
 
@@ -203,7 +201,6 @@ func (s *UnionSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Ta
 			out.Append(r)
 		}
 	}
-	env.trace("union", out.Len())
 	return out, nil
 }
 
@@ -240,7 +237,6 @@ func (s *LimitSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Ta
 		return nil, err
 	}
 	out := t.Head(s.N)
-	env.trace("limit", out.Len())
 	return out, nil
 }
 
@@ -270,7 +266,6 @@ func (s *FuncSpec) Exec(env *Env, in []*table.Table, names []string) (*table.Tab
 	if err != nil {
 		return nil, err
 	}
-	env.trace(s.Name, t.Len())
 	return t, nil
 }
 

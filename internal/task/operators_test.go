@@ -262,7 +262,7 @@ func TestFilterConfigErrors(t *testing.T) {
 	}
 }
 
-func TestEnvResourceAndTraceNil(t *testing.T) {
+func TestEnvResourceNil(t *testing.T) {
 	var env *Env
 	if _, ok := env.Resource("x"); ok {
 		t.Error("nil env should have no resources")
@@ -271,8 +271,5 @@ func TestEnvResourceAndTraceNil(t *testing.T) {
 	if _, ok := env2.Resource("x"); ok {
 		t.Error("empty env should have no resources")
 	}
-	// trace on nil env must not panic.
-	env.trace("t", 1)
-	env2.trace("t", 1)
 	_ = value.VNull
 }

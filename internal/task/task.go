@@ -86,10 +86,6 @@ type Env struct {
 	// Parallelism caps worker fan-out in the batch engine; <= 0 means
 	// GOMAXPROCS.
 	Parallelism int
-	// Trace, when non-nil, receives one call per executed task with the
-	// task type and output cardinality. The telemetry pipeline behind
-	// the Figure 31 usage dashboard hangs off this hook.
-	Trace func(taskType string, outRows int)
 }
 
 // Resource returns a named auxiliary resource.
@@ -99,12 +95,6 @@ func (e *Env) Resource(name string) ([]byte, bool) {
 	}
 	b, ok := e.Resources[name]
 	return b, ok
-}
-
-func (e *Env) trace(taskType string, rows int) {
-	if e != nil && e.Trace != nil {
-		e.Trace(taskType, rows)
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -221,7 +211,6 @@ func execRowLocal(s RowLocal, env *Env, in []*table.Table, names []string) (*tab
 			return nil, err
 		}
 	}
-	env.trace(s.Type(), res.Len())
 	return res, nil
 }
 
